@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -97,8 +97,7 @@ def _dumps(obj) -> str:
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_lattice(cfg: config.RunConfig, em: _Emitter, threads: int,
-                verbose: bool):
+def cmd_lattice(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     s = cfg.section("lattice")
     lat = cfg.lattice()
     max_sep = s["max_plane_separation"]
@@ -133,23 +132,18 @@ def cmd_lattice(cfg: config.RunConfig, em: _Emitter, threads: int,
         print(f"sigma/delta = {metrics.sigma_over_delta:.6g}")
 
 
-def cmd_magnet(cfg: config.RunConfig, em: _Emitter, threads: int,
-               verbose: bool):
+def cmd_magnet(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     s = cfg.section("magnet")
     lat = cfg.lattice()
     r0 = np.array(s["sample_origin_m"])
     n = s["n_planes"]
     if "grad_override_T_per_m" in s:
-        g = s["grad_override_T_per_m"]
-        field = lambda r: g * r[2]
-        grad_at_origin = (0.0, 0.0, g)
-        bz0 = 0.0
+        grad = np.array([0.0, 0.0, s["grad_override_T_per_m"]])
+
+        def field(r):
+            return r * grad, np.zeros_like(r) + grad
     else:
-        mag = cfg.magnet()
-        field = mag
-        g0 = magnet.grad_bz_at(mag, r0)
-        grad_at_origin = tuple(float(c) for c in g0)
-        bz0 = magnet.bz_at(mag, r0)
+        field = functools.partial(magnet.field, cfg.magnet())
 
     offsets, deltas = magnet.splitting_profile(field, r0, lat.a, n, lat.gamma)
     rows = []
@@ -161,26 +155,21 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, threads: int,
              ["plane", "offset_rad_per_s", "offset_Hz",
               "delta_to_next_rad_per_s", "delta_to_next_Hz"], rows)
 
-    frows = []
-    for i in range(n):
-        r = r0 + np.array([0.0, 0.0, i * lat.a])
-        if isinstance(field, magnet.PrismMagnet):
-            fs = magnet.sample(field, r)
-            frows.append([i, float(r[2]), fs.bz, *fs.grad_bz])
-        else:
-            frows.append([i, float(r[2]), field(r), 0.0, 0.0,
-                          s["grad_override_T_per_m"]])
+    planes = r0 + np.outer(np.arange(n) * lat.a, (0.0, 0.0, 1.0))
+    b, g = field(planes)
     em.table("magnet_field_map",
              ["plane", "z_m", "bz_T", "dBz_dx_T_per_m", "dBz_dy_T_per_m",
-              "dBz_dz_T_per_m"], frows)
+              "dBz_dz_T_per_m"],
+             [[i, float(planes[i, 2]), float(b[i, 2]),
+               *(float(c) for c in g[i])] for i in range(n)])
 
     rep = magnet.plane_homogeneity(
         field, r0, s["extent_x_m"], s["extent_y_m"], lat.a,
         samples=s["homogeneity_samples"],
         threshold=s["homogeneity_threshold"])
     em.document("magnet_summary", {
-        "bz_at_origin_T": float(bz0),
-        "grad_bz_at_origin_T_per_m": list(grad_at_origin),
+        "bz_at_origin_T": float(b[0, 2]),
+        "grad_bz_at_origin_T_per_m": [float(c) for c in g[0]],
         "splitting_rad_per_s": float(deltas[0]) if n > 1 else 0.0,
         "splitting_Hz": float(deltas[0] / TWO_PI) if n > 1 else 0.0,
         "homogeneity": {
@@ -214,8 +203,8 @@ def _build_schedule(seq_cfg: dict, recouple_pair=None):
     return merged, m, degraded
 
 
-def cmd_schedule(cfg: config.RunConfig, em: _Emitter, threads: int,
-                 verbose: bool, recouple_pair=None):
+def cmd_schedule(cfg: config.RunConfig, em: _Emitter, verbose: bool,
+                 recouple_pair=None):
     s = cfg.section("sequence")
     if recouple_pair is None and "recouple" in s:
         recouple_pair = tuple(s["recouple"])
@@ -249,8 +238,7 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, threads: int,
               f"{merged.cycle_time:.3e} s")
 
 
-def cmd_simulate(cfg: config.RunConfig, em: _Emitter, threads: int,
-                 verbose: bool):
+def cmd_simulate(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     ss = cfg.section("spin_system")
     seq_cfg = cfg.section("sequence")
     lat = cfg.lattice()
@@ -300,14 +288,12 @@ def _scalability_row(p, n, t2_grid):
     return row
 
 
-def cmd_scalability(cfg: config.RunConfig, em: _Emitter, threads: int,
-                    verbose: bool):
+def cmd_scalability(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     s = cfg.section("scalability")
     p = cfg.scalability()
     t2_grid = s["T2_grid_s"]
     n_grid = s["n_grid"]
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as ex:
-        rows = list(ex.map(lambda n: _scalability_row(p, n, t2_grid), n_grid))
+    rows = [_scalability_row(p, n, t2_grid) for n in n_grid]
     cols = ["n", "B_over_T_required_T_per_K"]
     for t2 in t2_grid:
         cols.append(f"budgetL_T2_{_t2_tag(t2)}")
@@ -335,8 +321,7 @@ def _t2_tag(t2: float) -> str:
     return txt + "s"
 
 
-def cmd_readout(cfg: config.RunConfig, em: _Emitter, threads: int,
-                verbose: bool):
+def cmd_readout(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     s = cfg.section("readout")
     params = cfg.cai()
     res = mrfm.simulate_cai_readout(
@@ -388,7 +373,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out",
                         help="output directory (default: ./out)")
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=int, default=1,
+                        help="worker threads (at least 1); no effect until "
+                             "the spin core runs in parallel")
         sp.add_argument("--no-meta", action="store_true",
                         help="omit the timestamped meta line")
         sp.add_argument("--verbose", action="store_true")
@@ -415,10 +402,9 @@ def main(argv=None) -> int:
                         "--recouple expects two comma-separated integers"
                     ) from None
                 pair = (i, j)
-            cmd_schedule(cfg, em, args.threads, args.verbose,
-                         recouple_pair=pair)
+            cmd_schedule(cfg, em, args.verbose, recouple_pair=pair)
         else:
-            _COMMANDS[args.command](cfg, em, args.threads, args.verbose)
+            _COMMANDS[args.command](cfg, em, args.verbose)
         written = em.flush()
         if args.verbose:
             for path in written:

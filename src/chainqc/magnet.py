@@ -18,15 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import MU0
-from .errors import ConfigError
+from .errors import ConfigError, ConvergenceError
 
 __all__ = [
     "PrismMagnet",
     "FieldSample",
     "HomogeneityReport",
+    "field",
     "b_field",
     "bz_at",
     "grad_bz_at",
+    "sample",
     "splitting_profile",
     "plane_homogeneity",
 ]
@@ -62,11 +64,12 @@ class PrismMagnet:
             (cz - self.h / 2, cz + self.h / 2),
         )
 
-    def contains(self, r) -> bool:
-        """True if r lies inside or on the prism boundary."""
-        (x1, x2), (y1, y2), (z1, z2) = self.bounds
-        x, y, z = r
-        return x1 <= x <= x2 and y1 <= y <= y2 and z1 <= z <= z2
+    def contains(self, r):
+        """True where r, of shape (..., 3), lies inside or on the prism
+        boundary."""
+        lo, hi = np.array(self.bounds).T
+        r = np.asarray(r, dtype=float)
+        return ((lo <= r) & (r <= hi)).all(axis=-1)
 
     @property
     def moment(self) -> float:
@@ -93,81 +96,76 @@ class HomogeneityReport:
     passed: bool
 
 
-def _require_exterior(mag: PrismMagnet, r):
-    if mag.contains(r):
-        raise ConfigError(f"field requested inside the magnet body at {tuple(r)}")
+def field(mag: PrismMagnet, points):
+    """Field B (T) and analytic gradient of B_z (T/m) at exterior points.
 
-
-def _face_sum(x, y, z, xb, yb, zc):
-    """Corner sums for one charged face at height zc.
-
-    Returns (hx, hy, hz, gx, gy, gz) where h* are the field components per
-    unit (sigma/4pi) and g* the gradient of hz.
+    ``points`` has shape (..., 3); returns (B, grad_Bz), each of that shape.
+    Each face's four corner terms are summed in order, and the bottom face
+    is subtracted from the top.
+    Raises ConfigError if any point lies inside or on the magnet body, and
+    ConvergenceError if the field is not finite at some point (a
+    non-finite coordinate, or a point on the line through a prism edge,
+    where the corner sums are singular).
     """
-    Z = z - zc
-    hx = hy = hz = gx = gy = gz = 0.0
-    for i, xi in enumerate(xb):
-        for j, yj in enumerate(yb):
-            s = 1.0 if (i + j) % 2 == 0 else -1.0
-            u = x - xi
-            v = y - yj
-            R = math.sqrt(u * u + v * v + Z * Z)
-            hx -= s * math.log(v + R)
-            hy -= s * math.log(u + R)
-            hz += s * math.atan2(u * v, Z * R)
-            uz = u * u + Z * Z
-            vz = v * v + Z * Z
-            gx += s * Z * v / (R * uz)
-            gy += s * Z * u / (R * vz)
-            gz -= s * u * v * (R * R + Z * Z) / (R * uz * vz)
-    return hx, hy, hz, gx, gy, gz
-
-
-def _field_and_grad(mag: PrismMagnet, r):
+    r = np.asarray(points, dtype=float)
     (x1, x2), (y1, y2), (z1, z2) = mag.bounds
-    x, y, z = (float(c) for c in r)
-    pref = MU0 * mag.magnetization / (4.0 * math.pi)
-    top = _face_sum(x, y, z, (x1, x2), (y1, y2), z2)
-    bot = _face_sum(x, y, z, (x1, x2), (y1, y2), z1)
-    vals = tuple(pref * (t - b) for t, b in zip(top, bot))
-    b = np.array(vals[:3])
-    g = np.array(vals[3:])
+    inside = mag.contains(r)
+    if inside.any():
+        at = tuple(float(c) for c in r[inside][0])
+        raise ConfigError(f"field requested inside the magnet body at {at}")
+    # Trailing axes: face (top, bottom), then corner (x1,y1), (x1,y2),
+    # (x2,y1), (x2,y2) with alternating sign s.
+    u = r[..., 0, None, None] - np.array([x1, x1, x2, x2])
+    v = r[..., 1, None, None] - np.array([y1, y2, y1, y2])
+    Z = r[..., 2, None, None] - np.array([[z2], [z1]])
+    s = np.array([1.0, -1.0, -1.0, 1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        R = np.sqrt(u * u + v * v + Z * Z)
+        uz = u * u + Z * Z
+        vz = v * v + Z * Z
+        t = np.stack([-s * np.log(v + R), -s * np.log(u + R),
+                      s * np.arctan2(u * v, Z * R),
+                      s * Z * v / (R * uz), s * Z * u / (R * vz),
+                      -s * u * v * (R * R + Z * Z) / (R * uz * vz)],
+                     axis=-3)
+        faces = ((t[..., 0] + t[..., 1]) + t[..., 2]) + t[..., 3]
+        pref = MU0 * mag.magnetization / (4.0 * math.pi)
+        bg = pref * (faces[..., 0] - faces[..., 1])
+    b, g = bg[..., :3], bg[..., 3:]
+    finite = np.isfinite(b).all(axis=-1) & np.isfinite(g).all(axis=-1)
+    if not finite.all():
+        at = tuple(float(c) for c in r[~finite][0])
+        raise ConvergenceError(f"prism field is not finite at {at}")
     return b, g
 
 
 def b_field(mag: PrismMagnet, r) -> np.ndarray:
     """Full magnetic field vector (T) at an exterior point."""
-    _require_exterior(mag, r)
-    b, _ = _field_and_grad(mag, r)
-    return b
+    return field(mag, r)[0]
 
 
 def bz_at(mag: PrismMagnet, r) -> float:
     """z component of the field (T) at an exterior point."""
-    _require_exterior(mag, r)
-    b, _ = _field_and_grad(mag, r)
-    return float(b[2])
+    return float(field(mag, r)[0][2])
 
 
 def grad_bz_at(mag: PrismMagnet, r) -> np.ndarray:
     """Analytic gradient of B_z (T/m) at an exterior point."""
-    _require_exterior(mag, r)
-    _, g = _field_and_grad(mag, r)
-    return g
+    return field(mag, r)[1]
 
 
 def sample(mag: PrismMagnet, r) -> FieldSample:
-    _require_exterior(mag, r)
-    b, g = _field_and_grad(mag, r)
+    b, g = field(mag, r)
     return FieldSample(position=tuple(float(c) for c in r), bz=float(b[2]),
                        grad_bz=tuple(float(c) for c in g))
 
 
-def splitting_profile(field_bz, r0, a: float, n: int, gamma: float):
+def splitting_profile(field_fn, r0, a: float, n: int, gamma: float):
     """Per-plane angular-frequency offsets and adjacent splittings (rad/s).
 
-    Planes sit at r0 + i*a*zhat for i = 0..n-1; ``field_bz`` is either a
-    PrismMagnet or any callable returning B_z at a 3-vector.
+    Planes sit at r0 + i*a*zhat for i = 0..n-1; ``field_fn`` has the
+    signature of :func:`field` with the magnet bound, for instance
+    ``functools.partial(field, mag)``.
     omega_i = gamma * (B_z(r0 + i*a*zhat) - B_z(r0)).  Returns
     (offsets, deltas) with deltas[i] = omega_{i+1} - omega_i.
     """
@@ -175,52 +173,39 @@ def splitting_profile(field_bz, r0, a: float, n: int, gamma: float):
         raise ConfigError("need at least one plane")
     if a <= 0:
         raise ConfigError("plane spacing must be positive")
-    if isinstance(field_bz, PrismMagnet):
-        mag = field_bz
-        fn = lambda r: bz_at(mag, r)
-    else:
-        fn = field_bz
-    r0 = np.asarray(r0, dtype=float)
-    bz = np.array([fn(r0 + np.array([0.0, 0.0, i * a])) for i in range(n)])
+    planes = np.asarray(r0, dtype=float) + np.outer(np.arange(n) * a,
+                                                    (0.0, 0.0, 1.0))
+    bz = field_fn(planes)[0][:, 2]
     offsets = gamma * (bz - bz[0])
     deltas = np.diff(offsets)
     return offsets, deltas
 
 
-def plane_homogeneity(field_bz, r0, extent_x: float, extent_y: float,
+def plane_homogeneity(field_fn, r0, extent_x: float, extent_y: float,
                       a: float, samples: int = 11,
                       threshold: float = 1.0) -> HomogeneityReport:
     """B_z variation over an extent_x x extent_y patch at fixed z.
 
-    The variation is expressed as a fraction of the plane-to-plane field
-    step a*|dBz/dz| and compared against ``threshold``: below it, all
-    equivalent-frequency nuclei stay within one plane bandwidth.
+    ``field_fn`` is as in :func:`splitting_profile`.  The variation is
+    expressed as a fraction of the plane-to-plane field step a*|dBz/dz| and
+    compared against ``threshold``: below it, all equivalent-frequency
+    nuclei stay within one plane bandwidth.  The samples x samples grid is
+    evaluated one row at a time, so memory stays O(samples).
     """
     if extent_x < 0 or extent_y < 0:
         raise ConfigError("extents must be non-negative")
     if samples < 2:
         raise ConfigError("need at least 2 samples per axis")
     r0 = np.asarray(r0, dtype=float)
-    if isinstance(field_bz, PrismMagnet):
-        mag = field_bz
-        fn = lambda r: bz_at(mag, r)
-        dz = grad_bz_at(mag, r0)[2]
-    else:
-        fn = field_bz
-        h = max(a, 1e-12)
-        up = fn(r0 + np.array([0.0, 0.0, h]))
-        dn = fn(r0 - np.array([0.0, 0.0, h]))
-        dz = (up - dn) / (2 * h)
-    b0 = fn(r0)
-    xs = np.linspace(-extent_x / 2, extent_x / 2, samples)
-    ys = np.linspace(-extent_y / 2, extent_y / 2, samples)
+    b0, g0 = field_fn(r0)
+    row = np.zeros((samples, 3))
+    row[:, 1] = np.linspace(-extent_y / 2, extent_y / 2, samples)
     var = 0.0
-    for x in xs:
-        for y in ys:
-            b = fn(r0 + np.array([x, y, 0.0]))
-            var = max(var, abs(b - b0))
-    step = float(a * abs(dz))
-    var = float(var)
+    for x in np.linspace(-extent_x / 2, extent_x / 2, samples):
+        row[:, 0] = x
+        bz = field_fn(r0 + row)[0][:, 2]
+        var = max(var, float(np.max(np.abs(bz - b0[2]))))
+    step = float(a * abs(g0[2]))
     frac = var / step if step > 0 else math.inf if var > 0 else 0.0
     return HomogeneityReport(
         max_variation_t=var,

@@ -31,7 +31,6 @@ __all__ = [
     "required_field_over_temp",
     "gate_budget",
     "GateBudget",
-    "cai_detuning",
     "simulate_cai_readout",
 ]
 
@@ -176,25 +175,15 @@ _N_SCAN_CAP = 100_000
 def max_measurable_qubits(p: ScalabilityParams) -> int:
     """Largest n whose readout force clears the detection threshold.
 
-    The force is eventually decreasing in n; after locating the decreasing
-    branch by doubling, the answer is found by bisection.  Returns 0 when
-    even the best n is below threshold.
+    F(1) = F(2) exactly (both are gamma*hbar*N*|G|*tanh(x)/2), and ln F is
+    concave in n (d^2/dn^2 ln sinh(n*x) < 0), so the force peaks at n in
+    {1, 2} and decreases beyond.  Returns 0 when the peak is below
+    threshold; otherwise the crossing is bracketed by doubling and found
+    by bisection.
     """
     thr = p.detection_threshold
-    if force_at_n(p, 1) < thr:
-        # The force can still peak above threshold at small n.
-        best = 0
-        for n in range(2, 2000):
-            f = force_at_n(p, n)
-            if f >= thr:
-                best = n
-            elif best:
-                break
-            if f < thr * 1e-12:
-                break
-        if best == 0:
-            return 0
-    # Find hi with force < thr on the decreasing branch.
+    if max(force_at_n(p, 1), force_at_n(p, 2)) < thr:
+        return 0
     lo = 1
     hi = 2
     while force_at_n(p, hi) >= thr:
@@ -260,11 +249,6 @@ def gate_budget(p: ScalabilityParams) -> GateBudget:
         budget_times_l=p.T2_0 * p.delta_omega / (p.n * p.n),
         cycle_time=t_c,
     )
-
-
-def cai_detuning(params: CAIParams, t: float) -> float:
-    """Instantaneous detuning of the CAI drive from resonance (rad/s)."""
-    return params.excursion * math.sin(params.omega_m * t)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .constants import TWO_PI
 from .errors import ConfigError, SequenceValidationError
@@ -172,7 +171,9 @@ def hadamard_sign_matrix(n: int) -> SignMatrix:
     if n < 1:
         raise ConfigError("n must be at least 1")
     k = 1 << max(1, math.ceil(math.log2(max(n, 2))))
-    H = hadamard(k)
+    H = np.ones((1, 1), dtype=int)
+    while len(H) < k:
+        H = np.block([[H, H], [H, -H]])
     return SignMatrix(tuple(tuple(int(x) for x in H[i]) for i in range(n)))
 
 

@@ -93,6 +93,16 @@ class TestExitCodes:
         assert run(["magnet", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
 
+    def test_magnet_edge_line_exits_3(self, tmp_path):
+        (x1, _), (y1, _), (_, z2) = config.load_config(None).magnet().bounds
+        cfg = write_cfg(tmp_path, {
+            "schema_version": 1,
+            "magnet": {"sample_origin_m": [x1, y1 - 3e-6, z2],
+                       "n_planes": 1},
+        })
+        assert run(["magnet", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 3
+
     def test_scalability_bracket_failure_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,
@@ -138,6 +148,30 @@ class TestOutputs:
         summary = json.loads((out / "magnet_summary.json").read_text())
         assert summary["splitting_Hz"] == pytest.approx(19.28e3, rel=1e-3)
         assert summary["homogeneity"]["passed"] is True
+
+    def test_magnet_grad_override_offset_origin(self, tmp_path):
+        g, z = 1.4e6, -3e-7
+        cfg = write_cfg(tmp_path, {
+            "schema_version": 1,
+            "magnet": {"grad_override_T_per_m": g,
+                       "sample_origin_m": [0.0, 0.0, z]},
+        })
+        out = tmp_path / "o"
+        assert run(["magnet", "--config", cfg, "--out", str(out),
+                    "--no-meta", "--format", "json"]) == 0
+        summary = json.loads((out / "magnet_summary.json").read_text())
+        fmap = json.loads((out / "magnet_field_map.json").read_text())
+        row0 = dict(zip(fmap["header"], fmap["rows"][0]))
+        assert row0["z_m"] == z
+        assert summary["bz_at_origin_T"] == row0["bz_T"] == g * z
+        assert summary["grad_bz_at_origin_T_per_m"] == [0.0, 0.0, g]
+        a = config.load_config(None).lattice().a
+        assert summary["homogeneity"]["plane_step_T"] == a * g
+        csv_out = tmp_path / "c"
+        assert run(["magnet", "--config", cfg, "--out", str(csv_out),
+                    "--no-meta"]) == 0
+        lines = (csv_out / "magnet_field_map.csv").read_text().splitlines()
+        assert float(lines[1].split(",")[2]) == g * z
 
     def test_schedule_recouple_report(self, tmp_path):
         out = tmp_path / "o"

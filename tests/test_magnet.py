@@ -1,12 +1,13 @@
 """Prism magnetostatics against quadrature and finite-difference oracles."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from chainqc.constants import MU0, TWO_PI
-from chainqc.errors import ConfigError
+from chainqc.errors import ConfigError, ConvergenceError
 from chainqc import magnet
 from chainqc.magnet import PrismMagnet
 
@@ -133,41 +134,90 @@ class TestFieldOracles:
                 == pytest.approx(magnet.bz_at(MAG, p), rel=1e-10))
 
 
+def linear_field(g):
+    """Field function B = (0, 0, g*z), grad B_z = (0, 0, g)."""
+    grad = np.array([0.0, 0.0, g])
+    return lambda r: (r * grad, np.zeros_like(r) + grad)
+
+
+PRISM_FIELD = functools.partial(magnet.field, MAG)
+
+
+class TestBatchedField:
+    def test_batch_equals_single_points(self):
+        pts = np.array(exterior_points(MAG, 12, seed=4))
+        b, g = magnet.field(MAG, pts)
+        assert b.shape == g.shape == (12, 3)
+        for k, p in enumerate(pts):
+            b1, g1 = magnet.field(MAG, p)
+            assert np.array_equal(b[k], b1)
+            assert np.array_equal(g[k], g1)
+            assert magnet.bz_at(MAG, p) == b[k, 2]
+            assert np.array_equal(magnet.grad_bz_at(MAG, p), g[k])
+        grid = pts.reshape(3, 4, 3)
+        bg, gg = magnet.field(MAG, grid)
+        assert np.array_equal(bg.reshape(12, 3), b)
+        assert np.array_equal(gg.reshape(12, 3), g)
+
+    def test_interior_point_in_batch_rejected(self):
+        pts = np.array(exterior_points(MAG, 6, seed=5))
+        for k in (0, 3, 5):
+            bad = pts.copy()
+            bad[k] = MAG.center
+            with pytest.raises(ConfigError):
+                magnet.field(MAG, bad)
+        on_face = pts.copy()
+        on_face[2] = (0.0, 0.0, MAG.bounds[2][0])
+        with pytest.raises(ConfigError):
+            magnet.field(MAG, on_face.reshape(2, 3, 3))
+
+    def test_singular_edge_line_rejected(self):
+        # On the line through the edge x = x1, z = z1 the corner sums are
+        # log(0) and 0/0; the field must not come back as NaN.
+        (x1, _), (y1, _), (z1, _) = MAG.bounds
+        pts = np.array(exterior_points(MAG, 3, seed=6))
+        pts[1] = (x1, y1 - 2e-6, z1)
+        with pytest.raises(ConvergenceError):
+            magnet.field(MAG, pts)
+
+
 class TestSplittingProfile:
     def test_linear_field(self):
         g = 1.4e6
         a = 3.442e-10
         gamma = TWO_PI * 40e6
         offsets, deltas = magnet.splitting_profile(
-            lambda r: g * r[2], (0.0, 0.0, 0.0), a, 5, gamma)
+            linear_field(g), (0.0, 0.0, 0.0), a, 5, gamma)
         assert offsets[0] == 0.0
         assert np.allclose(deltas, gamma * a * g, rtol=1e-9)
         assert deltas[0] / TWO_PI == pytest.approx(19.28e3, rel=1e-3)
 
     def test_prism_input(self):
         offsets, deltas = magnet.splitting_profile(
-            MAG, (0.0, 0.0, 0.0), 3.442e-10, 4, TWO_PI * 40e6)
+            PRISM_FIELD, (0.0, 0.0, 0.0), 3.442e-10, 4, TWO_PI * 40e6)
         g = magnet.grad_bz_at(MAG, (0.0, 0.0, 0.0))[2]
         assert deltas[0] == pytest.approx(
             TWO_PI * 40e6 * 3.442e-10 * g, rel=1e-4)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            magnet.splitting_profile(lambda r: 0.0, (0, 0, 0), -1.0, 3, 1.0)
+            magnet.splitting_profile(linear_field(0.0), (0, 0, 0), -1.0, 3,
+                                     1.0)
         with pytest.raises(ConfigError):
-            magnet.splitting_profile(lambda r: 0.0, (0, 0, 0), 1.0, 0, 1.0)
+            magnet.splitting_profile(linear_field(0.0), (0, 0, 0), 1.0, 0,
+                                     1.0)
 
 
 class TestHomogeneity:
     def test_linear_field_passes(self):
         rep = magnet.plane_homogeneity(
-            lambda r: 1.4e6 * r[2], (0.0, 0.0, 0.0), 1e-7, 1e-7, 3.442e-10)
+            linear_field(1.4e6), (0.0, 0.0, 0.0), 1e-7, 1e-7, 3.442e-10)
         assert rep.max_variation_t == 0.0
         assert rep.passed
 
     def test_prism_report(self):
         rep = magnet.plane_homogeneity(
-            MAG, (0.0, 0.0, 0.0), 2e-8, 2e-8, 3.442e-10, samples=5)
+            PRISM_FIELD, (0.0, 0.0, 0.0), 2e-8, 2e-8, 3.442e-10, samples=5)
         assert rep.plane_step_t > 0
         assert rep.variation_fraction >= 0
         assert rep.passed == (rep.variation_fraction <= rep.threshold)

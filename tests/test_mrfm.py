@@ -74,6 +74,23 @@ class TestMeasurableQubits:
         p = replace(DESIGN, N=1.0)
         assert mrfm.max_measurable_qubits(p) == 0
 
+    def test_matches_linear_scan(self):
+        answers = set()
+        for bt in (1.75, 40.0, 2000.0):
+            for n_copies in (1.0, 1e3, 1e7):
+                p = replace(DESIGN, B0=bt, temperature=1.0, N=n_copies)
+                f1 = mrfm.force_at_n(p, 1)
+                for thr in (1e-22, 5.6e-18, 1e-15, 0.9 * f1, f1):
+                    q = replace(p, force_threshold=thr)
+                    scan = [n for n in range(1, 1200)
+                            if mrfm.force_at_n(q, n) >= thr]
+                    expect = max(scan, default=0)
+                    assert mrfm.max_measurable_qubits(q) == expect
+                    answers.add(expect)
+        assert 0 in answers
+        assert answers & {1, 2}
+        assert max(answers) >= 100
+
     def test_required_field_monotone(self):
         vals = [mrfm.required_field_over_temp(n, DESIGN)
                 for n in (2, 5, 10, 30, 100, 300)]
@@ -128,12 +145,6 @@ def cai_params(adiabaticity=10.0, ratio=2.0, w1=TWO_PI * 10e3, periods=6):
 
 
 class TestCAI:
-    def test_detuning_waveform(self):
-        p = cai_params()
-        assert mrfm.cai_detuning(p, 0.0) == 0.0
-        quarter = 0.25 * TWO_PI / p.omega_m
-        assert mrfm.cai_detuning(p, quarter) == pytest.approx(p.excursion)
-
     def test_adiabaticity_value(self):
         p = cai_params(adiabaticity=10.0)
         assert p.adiabaticity == pytest.approx(10.0)
@@ -161,6 +172,8 @@ class TestCAI:
         peak = freqs[1 + np.argmax(spec[1:])] * TWO_PI
         assert peak == pytest.approx(p.omega_m, rel=0.02)
         assert res.modulation_amplitude > 0.3
+        wave = p.excursion * np.cos(p.omega_m * res.times)
+        assert np.max(np.abs(res.detuning - wave)) <= 1e-12 * p.excursion
 
     def test_duration_must_be_integer_periods(self):
         p = cai_params()

@@ -86,6 +86,19 @@ class TestHadamard:
         assert pulses.hadamard_sign_matrix(5).k == 8
         assert pulses.hadamard_sign_matrix(8).k == 8
 
+    def test_order_4_rows(self):
+        assert pulses.hadamard_sign_matrix(4).rows == (
+            (1, 1, 1, 1),
+            (1, -1, 1, -1),
+            (1, 1, -1, -1),
+            (1, -1, -1, 1),
+        )
+        assert pulses.hadamard_sign_matrix(3).rows == (
+            (1, 1, 1, 1),
+            (1, -1, 1, -1),
+            (1, 1, -1, -1),
+        )
+
     def test_rows_orthogonal(self):
         for n in (2, 3, 4, 5, 8):
             assert pulses.hadamard_sign_matrix(n).rows_orthogonal()
