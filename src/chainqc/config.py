@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass
 
 import jsonschema
@@ -350,13 +351,21 @@ def parse_config(obj: dict) -> RunConfig:
     return RunConfig(raw=_merge(_DEFAULTS, obj))
 
 
+def _finite(text: str) -> float:
+    """json number hook: NaN, Infinity and overflowing literals are errors."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {text} in config")
+    return x
+
+
 def load_config(path: str | None) -> RunConfig:
     """Read and validate a JSON config file; None gives the defaults."""
     if path is None:
         return RunConfig(raw=default_config())
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import TWO_PI
 from .errors import ConfigError, SequenceValidationError
-from .spinsys import Propagator, SpinSystem, single_spin_op, SX, SZ
+from .spinsys import Propagator, SpinSystem
 
 __all__ = [
     "PulseEvent",
@@ -340,16 +340,20 @@ def _z_rotation_events(plane: int, alpha: float, t: float) -> list[PulseEvent]:
 
 
 def _cnot_target(sys: SpinSystem, control: int, target: int) -> Propagator:
-    """Ideal CNOT on every chain copy (control plane -> target plane)."""
+    """Ideal CNOT on every chain copy (control plane -> target plane).
+
+    A basis permutation: the target bit flips wherever the control bit is
+    down (spin s is bit n-1-s of the basis index).
+    """
     n = sys.total_spins
-    U = np.eye(sys.dim, dtype=complex)
+    k = np.arange(sys.dim)
+    flip = np.zeros_like(k)
     for ch in range(sys.n_chains):
-        c = sys.spin_index(control, ch)
-        t = sys.spin_index(target, ch)
-        p_up = 0.5 * np.eye(sys.dim) + single_spin_op(n, c, SZ)
-        p_dn = 0.5 * np.eye(sys.dim) - single_spin_op(n, c, SZ)
-        x_t = 2.0 * single_spin_op(n, t, SX)
-        U = (p_up + p_dn @ x_t) @ U
+        c = n - 1 - sys.spin_index(control, ch)
+        t = n - 1 - sys.spin_index(target, ch)
+        flip |= ((k >> c) & 1) << t
+    U = np.zeros((sys.dim, sys.dim), dtype=complex)
+    U[k ^ flip, k] = 1.0
     return Propagator(U)
 
 

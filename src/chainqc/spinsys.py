@@ -13,10 +13,20 @@ Pulse rotation convention: a pulse of flip angle theta and phase phi applies
 U = exp(+i theta (cos(phi) Ix + sin(phi) Iy)) on its targets (phase 0 = x,
 pi/2 = y).  With this convention the WAHUHA cycle scales offsets along
 +(1,1,1)/sqrt(3).
+
+Spin s is bit n-1-s of the computational-basis index (bit 0 = up,
+Iz = +1/2).  H is written straight from that bit table: a diagonal of
+offsets and zz terms plus the in-plane flip-flop entries.  Free evolution
+runs through one cached eigendecomposition of H per system, and an ideal
+pulse is a 2x2 rotation applied to each target spin's axis of the state
+reshaped to (2,)*n.  Only sampled (finite-width) pulses still build dense
+drive operators with ``single_spin_op``.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -59,6 +69,12 @@ def single_spin_op(n_spins: int, index: int, op: np.ndarray) -> np.ndarray:
     for k in range(n_spins):
         out = np.kron(out, op if k == index else ID2)
     return out
+
+
+def _down_bits(n_spins: int) -> np.ndarray:
+    """(2**n, n) table: entry [k, s] is 1 where spin s is down in basis state k."""
+    k = np.arange(2 ** n_spins)
+    return (k[:, None] >> np.arange(n_spins - 1, -1, -1)) & 1
 
 
 class Coupling(NamedTuple):
@@ -112,26 +128,40 @@ class SpinSystem:
             raise ConfigError(f"plane {plane} out of range")
         return [self.spin_index(plane, c) for c in range(self.n_chains)]
 
+    @functools.cached_property
+    def _iz_table(self) -> np.ndarray:
+        """(dim, total_spins) table of each spin's Iz in each basis state."""
+        return 0.5 - _down_bits(self.total_spins)
+
+    @functools.cached_property
+    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V) with H = V diag(w) V^T, computed once per system."""
+        return np.linalg.eigh(self.hamiltonian())
+
     def hamiltonian(self) -> np.ndarray:
-        """Internal Hamiltonian (rad/s) in the plane-0 rotating frame."""
+        """Internal Hamiltonian (rad/s) in the plane-0 rotating frame.
+
+        Real symmetric: offsets and c Iz_i Iz_j on the diagonal, and for a
+        full_dipolar pair the flip-flop entries -c/4 between basis states
+        that differ by swapping its two (unequal) bits, which is
+        (1/2) c (3 Iz Iz - I.I) written out.
+        """
+        sz = self._iz_table
+        diag = np.zeros(self.dim)
+        for p, w in enumerate(self.offsets):
+            diag += w * sz[:, self.plane_spins(p)].sum(axis=1)
+        H = np.zeros((self.dim, self.dim))
+        k = np.arange(self.dim)
         n = self.total_spins
-        H = np.zeros((self.dim, self.dim), dtype=complex)
-        for p in range(self.n_planes):
-            w = self.offsets[p]
-            if w == 0.0:
-                continue
-            for s in self.plane_spins(p):
-                H += w * single_spin_op(n, s, SZ)
         for c in self.couplings:
-            zz = single_spin_op(n, c.i, SZ) @ single_spin_op(n, c.j, SZ)
-            if c.kind == "zz":
-                H += c.coeff * zz
-            elif c.kind == "full_dipolar":
-                xx = single_spin_op(n, c.i, SX) @ single_spin_op(n, c.j, SX)
-                yy = single_spin_op(n, c.i, SY) @ single_spin_op(n, c.j, SY)
-                H += 0.5 * c.coeff * (3.0 * zz - (xx + yy + zz))
-            else:
+            if c.kind not in ("zz", "full_dipolar"):
                 raise ConfigError(f"unknown coupling kind {c.kind!r}")
+            diag += c.coeff * sz[:, c.i] * sz[:, c.j]
+            if c.kind == "full_dipolar":
+                rows = k[sz[:, c.i] != sz[:, c.j]]
+                mask = (1 << (n - 1 - c.i)) | (1 << (n - 1 - c.j))
+                H[rows, rows ^ mask] = -0.25 * c.coeff
+        H[k, k] = diag
         return H
 
 
@@ -193,12 +223,24 @@ class QuantumState:
         return cls.density(np.eye(d) / d)
 
     def apply(self, U: np.ndarray) -> "QuantumState":
+        out = self._stepped(functools.partial(np.matmul, U))
+        return QuantumState(out.kind, out.data)
+
+    def _stepped(self, step) -> "QuantumState":
+        """The state after the unitary X -> step(X), renormalised.
+
+        Not re-validated: a unitary step keeps a valid state valid.
+        """
+        out = object.__new__(QuantumState)
+        out.kind = self.kind
         if self.kind == "pure":
-            v = U @ self.data
-            return QuantumState.pure(v / np.linalg.norm(v))
-        rho = U @ self.data @ U.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        return QuantumState.density(rho / np.trace(rho).real)
+            v = step(self.data)
+            out.data = v / np.linalg.norm(v)
+        else:
+            rho = step(step(self.data).conj().T).conj().T  # U rho U^dag
+            rho = 0.5 * (rho + rho.conj().T)
+            out.data = rho / np.trace(rho).real
+        return out
 
     def expectation(self, op: np.ndarray) -> float:
         if self.kind == "pure":
@@ -262,8 +304,13 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
                     dxy = (np.array(positions[c2]) - np.array(positions[c1])) * lat.a
                     dz = (p2 - p1) * lat.a
                     r = math.sqrt(dxy[0]**2 + dxy[1]**2 + dz**2)
-                    cos2 = (dz / r) ** 2
-                    coeff = base * (1.0 - 3.0 * cos2) / r**3
+                    r3 = r**3
+                    coeff = (base * (1.0 - 3.0 * (dz / r) ** 2) / r3
+                             if r3 > 0.0 else math.inf)
+                    if not math.isfinite(coeff):
+                        raise ConfigError(
+                            f"spins {s1} and {s2} are too close "
+                            f"(r = {r:.3e} m) for a finite coupling")
                     if p1 == p2:
                         if include_same_plane:
                             couplings.append(Coupling(s1, s2, "full_dipolar", coeff))
@@ -283,23 +330,37 @@ def _expm_herm(H: np.ndarray, t: float) -> np.ndarray:
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 
-def _pulse_generator(sys: SpinSystem, event) -> np.ndarray:
-    """Hermitian generator G with ideal pulse U = exp(+i * flip_angle * G)."""
-    n = sys.total_spins
+def _free_step(sys: SpinSystem, t: float):
+    """X -> exp(-i H t) X in the eigenbasis of the system's cached H."""
+    w, V = sys._eigensystem
+    phase = np.exp(-1j * w * t)[:, None]
+
+    def step(X):
+        return (V @ (phase * (V.T @ X.reshape(sys.dim, -1)))).reshape(X.shape)
+    return step
+
+
+def _pulse_step(sys: SpinSystem, event):
+    """X -> U X for an ideal pulse: a 2x2 rotation on each target spin.
+
+    r = exp(+i theta/2 (cos(phi) sx + sin(phi) sy)); X is viewed as
+    (2**s, 2, rest) so that its middle axis is spin s.
+    """
     if event.target == "broadband":
-        spins = range(n)
+        spins = range(sys.total_spins)
     else:
         spins = sys.plane_spins(event.target)
-    G = np.zeros((sys.dim, sys.dim), dtype=complex)
-    ax = math.cos(event.phase)
-    ay = math.sin(event.phase)
-    for s in spins:
-        G += ax * single_spin_op(n, s, SX) + ay * single_spin_op(n, s, SY)
-    return G
+    c = math.cos(0.5 * event.flip_angle)
+    i_sin = 1j * math.sin(0.5 * event.flip_angle)
+    e = cmath.exp(1j * event.phase)
+    r = np.array([[c, i_sin * e.conjugate()], [i_sin * e, c]])
 
-
-def _ideal_pulse_unitary(sys: SpinSystem, event) -> np.ndarray:
-    return _expm_herm(_pulse_generator(sys, event), -event.flip_angle)
+    def step(X):
+        shape = X.shape
+        for s in spins:
+            X = (r @ X.reshape(1 << s, 2, -1)).reshape(shape)
+        return X
+    return step
 
 
 def _sampled_pulse_unitary(sys: SpinSystem, H: np.ndarray, event) -> np.ndarray:
@@ -333,10 +394,12 @@ def _sampled_pulse_unitary(sys: SpinSystem, H: np.ndarray, event) -> np.ndarray:
 
 
 def _walk(sys: SpinSystem, seq, mode: str):
-    """Yield (time, U_segment) pieces covering the sequence timeline."""
+    """Yield (time, step) pieces covering the sequence timeline.
+
+    step(X) returns U_segment @ X for X of shape (dim,) or (dim, m).
+    """
     if mode not in ("ideal", "sampled"):
         raise ConfigError(f"unknown mode {mode!r}")
-    H = sys.hamiltonian()
     events = list(seq.events)
     if mode == "sampled":
         intervals = [(e.t_start, e.t_start + e.duration) for e in events
@@ -347,20 +410,22 @@ def _walk(sys: SpinSystem, seq, mode: str):
                 raise SequenceValidationError(
                     "overlapping finite-duration events in sampled mode",
                     offenders=[(a0, a1), (b0, b1)])
+        H = sys.hamiltonian()
     t = 0.0
     for ev in events:
         gap = ev.t_start - t
         if gap < -1e-15:
             raise SequenceValidationError("events out of order", [ev])
         if gap > 0:
-            yield ev.t_start, _expm_herm(H, gap)
+            yield ev.t_start, _free_step(sys, gap)
         if mode == "ideal" or ev.duration == 0.0:
-            yield ev.t_start + ev.duration, _ideal_pulse_unitary(sys, ev)
+            yield ev.t_start + ev.duration, _pulse_step(sys, ev)
         else:
-            yield ev.t_start + ev.duration, _sampled_pulse_unitary(sys, H, ev)
+            U = _sampled_pulse_unitary(sys, H, ev)
+            yield ev.t_start + ev.duration, functools.partial(np.matmul, U)
         t = ev.t_start + ev.duration
     if seq.cycle_time > t:
-        yield seq.cycle_time, _expm_herm(H, seq.cycle_time - t)
+        yield seq.cycle_time, _free_step(sys, seq.cycle_time - t)
 
 
 def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
@@ -373,8 +438,8 @@ def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
         raise ConfigError("state dimension does not match the system")
     out = [(0.0, state)]
     cur = state
-    for t, U in _walk(sys, seq, mode):
-        cur = cur.apply(U)
+    for t, step in _walk(sys, seq, mode):
+        cur = cur._stepped(step)
         out.append((t, cur))
     return out
 
@@ -382,17 +447,18 @@ def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
 def propagator(sys: SpinSystem, seq, mode: str = "ideal") -> Propagator:
     """Total unitary of the sequence (composed left-to-right in time)."""
     U = np.eye(sys.dim, dtype=complex)
-    for _, Useg in _walk(sys, seq, mode):
-        U = Useg @ U
+    for _, step in _walk(sys, seq, mode):
+        U = step(U)
     return Propagator(U)
 
 
 def expectation_iz_plane(sys: SpinSystem, state: QuantumState,
                          plane: int) -> float:
     """Sum of <Iz> over the chains of one plane."""
-    n = sys.total_spins
-    op = sum(single_spin_op(n, s, SZ) for s in sys.plane_spins(plane))
-    return state.expectation(op)
+    m = sys._iz_table[:, sys.plane_spins(plane)].sum(axis=1)
+    if state.kind == "pure":
+        return float(m @ np.abs(state.data) ** 2)
+    return float(m @ np.real(np.diag(state.data)))
 
 
 def gate_fidelity(actual: Propagator, target: Propagator) -> float:
@@ -423,12 +489,7 @@ def diagonal_z_fidelity(U: np.ndarray):
         k = 1 << (n - 1 - s)  # basis index with only spin s flipped down
         if abs(diag[k]) > 1e-30:
             phases[s] = float(np.angle(diag[k] / ref))
-    model = np.zeros(d)
-    for k in range(d):
-        for s in range(n):
-            if k & (1 << (n - 1 - s)):
-                model[k] += phases[s]
-    V = np.exp(1j * (np.angle(ref) + model))
+    V = np.exp(1j * (np.angle(ref) + _down_bits(n) @ phases))
     fid = float(abs(np.sum(np.conj(V) * diag)) / d)
     return fid, phases
 
@@ -449,13 +510,13 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
                 "average_hamiltonian_0 requires instantaneous pulses")
     H = sys.hamiltonian()
     Urf = np.eye(sys.dim, dtype=complex)
-    Hbar = np.zeros_like(H)
+    Hbar = np.zeros_like(Urf)
     t = 0.0
     for ev in seq.events:
         tau = ev.t_start - t
         if tau > 0:
             Hbar += tau * (Urf.conj().T @ H @ Urf)
-        Urf = _ideal_pulse_unitary(sys, ev) @ Urf
+        Urf = _pulse_step(sys, ev)(Urf)
         t = ev.t_start
     if T > t:
         Hbar += (T - t) * (Urf.conj().T @ H @ Urf)

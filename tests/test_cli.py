@@ -103,6 +103,32 @@ class TestExitCodes:
         assert run(["magnet", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("command, section, text", [
+        ("magnet", "magnet",
+         '{"grad_override_T_per_m": 1.4e6, "sample_origin_m": [0, 0, NaN]}'),
+        ("lattice", "lattice", '{"preset": "fluorapatite", "phi_rad": NaN}'),
+        ("magnet", "magnet", '{"sample_origin_m": [0, 0, -1e400]}'),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command,
+                                       section, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(f'{{"schema_version": 1, "{section}": {text}}}',
+                        encoding="utf-8")
+        out = tmp_path / "o"
+        assert run([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "non-finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coincident_spins_exit_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {
+            "schema_version": 1,
+            "spin_system": {"n_planes": 2,
+                            "chain_positions_a": [[0.0, 0.0], [1e-300, 0.0]]},
+        })
+        assert run(["simulate", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        assert "too close" in capsys.readouterr().err
+
     def test_scalability_bracket_failure_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,

@@ -1,0 +1,200 @@
+"""The structured spin core against a dense Kronecker-product oracle.
+
+The oracle is the original dense implementation: H summed from embedded
+single- and two-spin operators, one eigendecomposition per free window and
+per pulse, and the CNOT target as a product of projectors.  It is kept here
+only as a reference for registers of up to 8 spins.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from chainqc import lattice, pulses, spinsys
+from chainqc.spinsys import ID2, SX, SY, SZ, QuantumState
+
+FAP = lattice.get_preset("fluorapatite")
+LAM = 2.7214  # nearest-neighbour chain spacing of fluorapatite, units of a
+SETTINGS = settings(max_examples=25, deadline=None)
+
+
+# --- dense oracle -------------------------------------------------------------
+
+
+def embed(n, ops):
+    """Kronecker product with ops[s] on spin s and the identity elsewhere."""
+    out = np.ones((1, 1), dtype=complex)
+    for s in range(n):
+        out = np.kron(out, ops.get(s, ID2))
+    return out
+
+
+def dense_hamiltonian(sys):
+    n = sys.total_spins
+    H = np.zeros((sys.dim, sys.dim), dtype=complex)
+    for p in range(sys.n_planes):
+        for s in sys.plane_spins(p):
+            H += sys.offsets[p] * embed(n, {s: SZ})
+    for c in sys.couplings:
+        zz = embed(n, {c.i: SZ, c.j: SZ})
+        if c.kind == "zz":
+            H += c.coeff * zz
+        else:
+            xx = embed(n, {c.i: SX, c.j: SX})
+            yy = embed(n, {c.i: SY, c.j: SY})
+            H += 0.5 * c.coeff * (3.0 * zz - (xx + yy + zz))
+    return H
+
+
+def expm_herm(H, t):
+    """exp(-i H t) for Hermitian H."""
+    w, V = np.linalg.eigh(H)
+    return (V * np.exp(-1j * w * t)) @ V.conj().T
+
+
+def dense_pulse(sys, ev):
+    """exp(+i theta (cos(phi) Ix + sin(phi) Iy)) summed over the targets."""
+    n = sys.total_spins
+    spins = (range(n) if ev.target == "broadband"
+             else sys.plane_spins(ev.target))
+    G = sum(math.cos(ev.phase) * embed(n, {s: SX})
+            + math.sin(ev.phase) * embed(n, {s: SY}) for s in spins)
+    return expm_herm(G, -ev.flip_angle)
+
+
+def dense_walk(sys, seq):
+    """(time, U_segment) pieces of an ideal-pulse sequence."""
+    H = dense_hamiltonian(sys)
+    t = 0.0
+    for ev in seq.events:
+        if ev.t_start > t:
+            yield ev.t_start, expm_herm(H, ev.t_start - t)
+        yield ev.t_start + ev.duration, dense_pulse(sys, ev)
+        t = ev.t_start + ev.duration
+    if seq.cycle_time > t:
+        yield seq.cycle_time, expm_herm(H, seq.cycle_time - t)
+
+
+def dense_evolve(sys, seq, data):
+    out = [(0.0, data)]
+    for t, U in dense_walk(sys, seq):
+        if data.ndim == 1:
+            data = U @ data
+            data = data / np.linalg.norm(data)
+        else:
+            data = U @ data @ U.conj().T
+            data = 0.5 * (data + data.conj().T)
+            data = data / np.trace(data).real
+        out.append((t, data))
+    return out
+
+
+def dense_cnot(sys, control, target):
+    n = sys.total_spins
+    eye = np.eye(sys.dim)
+    U = np.eye(sys.dim, dtype=complex)
+    for ch in range(sys.n_chains):
+        c = sys.spin_index(control, ch)
+        t = sys.spin_index(target, ch)
+        p_up = 0.5 * eye + embed(n, {c: SZ})
+        p_dn = 0.5 * eye - embed(n, {c: SZ})
+        U = (p_up + p_dn @ (2.0 * embed(n, {t: SX}))) @ U
+    return U
+
+
+# --- strategies ---------------------------------------------------------------
+
+
+@st.composite
+def registers(draw, min_planes=1):
+    """Up to 4 planes x 2 chains, jittered positions, either same-plane form."""
+    n_planes = draw(st.integers(min_planes, 4))
+    n_chains = draw(st.integers(1, 2))
+    jitter = st.floats(-0.3, 0.3)
+    positions = [(0.0, 0.0)] + [(c * LAM + draw(jitter), draw(jitter))
+                                for c in range(1, n_chains)]
+    grad = draw(st.floats(1e5, 2e6))
+    return spinsys.build_system(FAP, n_planes, positions, grad,
+                                include_same_plane=draw(st.booleans()))
+
+
+@st.composite
+def schedules(draw, n_planes):
+    """Random ideal pulses (plane or broadband) over a 1-20 us cycle."""
+    T = draw(st.floats(1e-6, 2e-5))
+    target = st.one_of(st.just("broadband"), st.integers(0, n_planes - 1))
+    events = tuple(
+        pulses.PulseEvent(draw(st.floats(0.0, 1.0)) * T, 0.0,
+                          draw(st.floats(1e-3, 2 * math.pi)),
+                          draw(st.floats(0.0, 2 * math.pi)), draw(target))
+        for _ in range(draw(st.integers(0, 6))))
+    return pulses.Sequence(events, cycle_time=T)
+
+
+@st.composite
+def register_and_schedule(draw):
+    sys = draw(registers())
+    return sys, draw(schedules(sys.n_planes))
+
+
+def plane_iz(sys, p):
+    n = sys.total_spins
+    return sum(embed(n, {s: SZ}) for s in sys.plane_spins(p))
+
+
+def random_pure(rng, d):
+    v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    return v / np.linalg.norm(v)
+
+
+def random_density(rng, d):
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = A @ A.conj().T
+    return rho / np.trace(rho).real
+
+
+# --- properties ---------------------------------------------------------------
+
+
+@SETTINGS
+@given(registers())
+def test_hamiltonian_matches_dense_and_conserves_plane_iz(sys):
+    H = sys.hamiltonian()
+    Hd = dense_hamiltonian(sys)
+    scale = np.linalg.norm(Hd)
+    assert np.linalg.norm(H - Hd) <= 1e-12 * scale
+    assert np.array_equal(H, H.conj().T)
+    for p in range(sys.n_planes):
+        M = plane_iz(sys, p)
+        assert np.linalg.norm(H @ M - M @ H) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(register_and_schedule(), st.integers(0, 2**32 - 1))
+def test_propagator_and_evolve_match_dense(case, seed):
+    sys, seq = case
+    U_dense = np.eye(sys.dim, dtype=complex)
+    for _, U in dense_walk(sys, seq):
+        U_dense = U @ U_dense
+    U_fast = spinsys.propagator(sys, seq).matrix
+    assert np.max(np.abs(U_fast - U_dense)) <= 1e-10
+
+    rng = np.random.default_rng(seed)
+    for data, make in ((random_pure(rng, sys.dim), QuantumState.pure),
+                       (random_density(rng, sys.dim), QuantumState.density)):
+        fast = spinsys.evolve(sys, seq, make(data))
+        dense = dense_evolve(sys, seq, data)
+        assert [t for t, _ in fast] == [t for t, _ in dense]
+        for (_, a), (_, b) in zip(fast, dense):
+            assert np.max(np.abs(a.data - b)) <= 1e-10
+
+
+@SETTINGS
+@given(registers(min_planes=2), st.data())
+def test_cnot_target_is_the_projector_product(sys, data):
+    control = data.draw(st.integers(0, sys.n_planes - 2))
+    control, target = data.draw(st.sampled_from(
+        [(control, control + 1), (control + 1, control)]))
+    U = pulses._cnot_target(sys, control, target).matrix
+    assert np.array_equal(U, dense_cnot(sys, control, target))

@@ -203,6 +203,17 @@ class TestEvolution:
         assert spinsys.expectation_iz_plane(sys, st, 0) < -0.45
         assert spinsys.expectation_iz_plane(sys, st, 1) > 0.45
 
+    def test_one_eigendecomposition_per_system(self, monkeypatch):
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: shapes.append(a.shape) or eigh(a))
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
+        seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(3), 6e-6)
+        spinsys.propagator(sys, seq)
+        spinsys.evolve(sys, seq, QuantumState.all_plus_x(3))
+        assert shapes == [(8, 8)]
+
     def test_propagator_unitary_check(self):
         with pytest.raises(ConfigError):
             Propagator(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
