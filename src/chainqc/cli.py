@@ -418,7 +418,7 @@ def main(argv=None) -> int:
         for off in exc.offenders:
             print(f"  offender: {off}", file=_sys.stderr)
         return 3
-    except ConvergenceError as exc:
+    except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
 

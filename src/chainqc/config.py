@@ -1,4 +1,4 @@
-"""Run configuration: JSON document, schema validation, and defaults.
+"""Run configuration: JSON document, one table of checks and defaults.
 
 A config is a single JSON object with a ``schema_version`` field and one
 optional section per command.  Unknown keys are rejected; every physical
@@ -10,11 +10,10 @@ otherwise.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
-
-import jsonschema
+import sys
 
 from .constants import TWO_PI
 from .errors import ConfigError
@@ -27,227 +26,169 @@ __all__ = ["CONFIG_SCHEMA_VERSION", "RunConfig", "load_config",
 
 CONFIG_SCHEMA_VERSION = 1
 
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_POSINT = {"type": "integer", "minimum": 1}
+# The config table: every key appears once, as ``key: (check, default)``, and
+# a nested dict is a section.  A check takes (value, path) and returns the
+# value (arrays as new lists) or raises ConfigError.  A default of None means
+# the key stays absent unless the config gives it.
+_REQUIRED = object()
 
-_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["schema_version"],
-    "properties": {
-        "schema_version": {"const": CONFIG_SCHEMA_VERSION},
-        "lattice": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "preset": {"type": "string"},
-                "name": {"type": "string"},
-                "a_m": _POS,
-                "transverse_basis_m": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "items": {"type": "number"},
-                    },
-                },
-                "gamma_rad_per_s_T": _POS,
-                "phi_rad": {"type": "number"},
-                "rel_tol": _POS,
-                "include_lower_plane": {"type": "boolean"},
-                "max_plane_separation": _POSINT,
-            },
-        },
-        "magnet": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "w_m": _POS,
-                "h_m": _POS,
-                "d_m": _POS,
-                "center_m": {
-                    "type": "array", "minItems": 3, "maxItems": 3,
-                    "items": {"type": "number"},
-                },
-                "magnetization_A_per_m": _NONNEG,
-                "sample_origin_m": {
-                    "type": "array", "minItems": 3, "maxItems": 3,
-                    "items": {"type": "number"},
-                },
-                "n_planes": _POSINT,
-                "extent_x_m": _NONNEG,
-                "extent_y_m": _NONNEG,
-                "homogeneity_samples": {"type": "integer", "minimum": 2},
-                "homogeneity_threshold": _POS,
-                "grad_override_T_per_m": _POS,
-            },
-        },
-        "spin_system": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_planes": _POSINT,
-                "chain_positions_a": {
-                    "type": "array", "minItems": 1,
-                    "items": {
-                        "type": "array", "minItems": 2, "maxItems": 2,
-                        "items": {"type": "number"},
-                    },
-                },
-                "grad_T_per_m": _POS,
-                "include_same_plane": {"type": "boolean"},
-                "cnot_control": {"type": "integer", "minimum": 0},
-                "cnot_target": {"type": "integer", "minimum": 0},
-                "schedule": {"enum": ["decoupling", "cnot"]},
-            },
-        },
-        "sequence": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "n_planes": _POSINT,
-                "tau_s": _POS,
-                "slot_s": _POS,
-                "pulse_width_s": _NONNEG,
-                "pi_width_s": _NONNEG,
-                "L": _POS,
-                "recouple": {
-                    "type": "array", "minItems": 2, "maxItems": 2,
-                    "items": {"type": "integer", "minimum": 0},
-                },
-            },
-        },
-        "scalability": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "B0_T": _POS,
-                "temperature_K": _POS,
-                "copies_N": _POS,
-                "n": _POSINT,
-                "grad_T_per_m": _POS,
-                "gamma_rad_per_s_T": _POS,
-                "T2_0_s": _POS,
-                "L": _POS,
-                "delta_omega_rad_per_s": _POS,
-                "force_threshold_N_per_sqrt_Hz": _POS,
-                "bandwidth_Hz": _POS,
-                "n_grid": {
-                    "type": "array", "minItems": 1,
-                    "items": _POSINT,
-                },
-                "T2_grid_s": {
-                    "type": "array", "minItems": 1,
-                    "items": _POS,
-                },
-            },
-        },
-        "readout": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "b1_T": _NONNEG,
-                "omega_m_rad_per_s": _POS,
-                "excursion_rad_per_s": _POS,
-                "n_periods": _POSINT,
-                "gamma_rad_per_s_T": _POS,
-                "initial": {"enum": ["up", "down"]},
-                "steps_per_period": {"type": "integer", "minimum": 100},
-                "delta_omega_rad_per_s": _POS,
-                "cantilever": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "spring_constant_N_per_m": _POS,
-                        "resonance_freq_Hz": _POS,
-                        "quality": _POS,
-                        "temperature_K": _POS,
-                        "bandwidth_Hz": _POS,
-                    },
-                },
-            },
-        },
-    },
-}
 
+def _fail(path: str, msg: str):
+    raise ConfigError(f"config invalid at {path or '<root>'}: {msg}")
+
+
+def _rule(test, what: str):
+    def check(x, path):
+        if not test(x):
+            _fail(path, f"expected {what}, got {x!r}")
+        return x
+    return check
+
+
+def _is_number(x) -> bool:
+    """A finite float or an integer within float range (true is neither)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
+_NUMBER = _rule(_is_number, "a number")
+_POS = _rule(lambda x: _is_number(x) and x > 0, "a positive number")
+_NONNEG = _rule(lambda x: _is_number(x) and x >= 0, "a non-negative number")
+_BOOL = _rule(lambda x: type(x) is bool, "true or false")
+_STR = _rule(lambda x: type(x) is str, "a string")
+
+
+def _int(lo: int):
+    """A JSON integer >= lo; 3.0 and true are not integers."""
+    return _rule(lambda x: type(x) is int and _is_number(x) and x >= lo,
+                 f"an integer >= {lo}")
+
+
+def _enum(*values):
+    return _rule(lambda x: any(type(x) is type(v) and x == v for v in values),
+                 " or ".join(map(repr, values)))
+
+
+def _array(item, lo: int, hi: float = math.inf):
+    """A list of lo..hi elements, each passing the check ``item``."""
+    size = str(lo) if hi == lo else f"at least {lo}"
+    def check(x, path):
+        if not isinstance(x, list) or not lo <= len(x) <= hi:
+            _fail(path, f"expected an array of {size} items, got {x!r}")
+        return [item(v, f"{path}/{i}") for i, v in enumerate(x)]
+    return check
+
+
+_POSINT = _int(1)
+_VEC2 = _array(_NUMBER, 2, 2)
+_VEC3 = _array(_NUMBER, 3, 3)
 _GAMMA_F = TWO_PI * 40e6
 
-_DEFAULTS = {
-    "schema_version": CONFIG_SCHEMA_VERSION,
+_SPEC = {
+    "schema_version": (_enum(CONFIG_SCHEMA_VERSION), _REQUIRED),
     "lattice": {
-        "preset": "fluorapatite",
-        "rel_tol": 1e-4,
-        "include_lower_plane": False,
-        "max_plane_separation": 10,
+        "preset": (_STR, "fluorapatite"),
+        "name": (_STR, None),
+        "a_m": (_POS, None),
+        "transverse_basis_m": (_array(_VEC2, 2, 2), None),
+        "gamma_rad_per_s_T": (_POS, None),
+        "phi_rad": (_NUMBER, None),
+        "rel_tol": (_POS, 1e-4),
+        "include_lower_plane": (_BOOL, False),
+        "max_plane_separation": (_POSINT, 10),
     },
     "magnet": {
         # 10 um cube, mu0*M = 2.2 T, sample line 1 um below the bottom face.
-        "w_m": 10e-6,
-        "h_m": 10e-6,
-        "d_m": 10e-6,
-        "center_m": [0.0, 0.0, 6e-6],
-        "magnetization_A_per_m": 1.7507e6,
-        "sample_origin_m": [0.0, 0.0, 0.0],
-        "n_planes": 12,
-        "extent_x_m": 2e-8,
-        "extent_y_m": 2e-8,
-        "homogeneity_samples": 11,
-        "homogeneity_threshold": 1.0,
+        "w_m": (_POS, 10e-6),
+        "h_m": (_POS, 10e-6),
+        "d_m": (_POS, 10e-6),
+        "center_m": (_VEC3, [0.0, 0.0, 6e-6]),
+        "magnetization_A_per_m": (_NONNEG, 1.7507e6),
+        "sample_origin_m": (_VEC3, [0.0, 0.0, 0.0]),
+        "n_planes": (_POSINT, 12),
+        "extent_x_m": (_NONNEG, 2e-8),
+        "extent_y_m": (_NONNEG, 2e-8),
+        "homogeneity_samples": (_int(2), 11),
+        "homogeneity_threshold": (_POS, 1.0),
+        "grad_override_T_per_m": (_POS, None),
     },
     "spin_system": {
-        "n_planes": 3,
-        "chain_positions_a": [[0.0, 0.0]],
-        "grad_T_per_m": 1.4e6,
-        "include_same_plane": True,
-        "cnot_control": 0,
-        "cnot_target": 1,
-        "schedule": "decoupling",
+        "n_planes": (_POSINT, 3),
+        "chain_positions_a": (_array(_VEC2, 1), [[0.0, 0.0]]),
+        "grad_T_per_m": (_POS, 1.4e6),
+        "include_same_plane": (_BOOL, True),
+        "cnot_control": (_int(0), 0),
+        "cnot_target": (_int(0), 1),
+        "schedule": (_enum("decoupling", "cnot"), "decoupling"),
     },
     "sequence": {
-        "n_planes": 3,
-        "tau_s": 1e-6,
-        "slot_s": 6e-6,
-        "pulse_width_s": 0.0,
-        "pi_width_s": 0.0,
-        "L": 16.0,
+        "n_planes": (_POSINT, 3),
+        "tau_s": (_POS, 1e-6),
+        "slot_s": (_POS, 6e-6),
+        "pulse_width_s": (_NONNEG, 0.0),
+        "pi_width_s": (_NONNEG, 0.0),
+        "L": (_POS, 16.0),
+        "recouple": (_array(_int(0), 2, 2), None),
     },
     "scalability": {
-        "B0_T": 7.0,
-        "temperature_K": 4.0,
-        "copies_N": 1e7,
-        "n": 10,
-        "grad_T_per_m": 1.4e6,
-        "gamma_rad_per_s_T": _GAMMA_F,
-        "T2_0_s": 0.1,
-        "L": 16.0,
-        "delta_omega_rad_per_s": _GAMMA_F * 3.442e-10 * 1.4e6,
-        "force_threshold_N_per_sqrt_Hz": 5.6e-18,
-        "bandwidth_Hz": 1.0,
-        "n_grid": list(range(2, 31)),
-        "T2_grid_s": [0.1, 10.0, 1000.0],
+        "B0_T": (_POS, 7.0),
+        "temperature_K": (_POS, 4.0),
+        "copies_N": (_POS, 1e7),
+        "n": (_POSINT, 10),
+        "grad_T_per_m": (_POS, 1.4e6),
+        "gamma_rad_per_s_T": (_POS, _GAMMA_F),
+        "T2_0_s": (_POS, 0.1),
+        "L": (_POS, 16.0),
+        "delta_omega_rad_per_s": (_POS, _GAMMA_F * 3.442e-10 * 1.4e6),
+        "force_threshold_N_per_sqrt_Hz": (_POS, 5.6e-18),
+        "bandwidth_Hz": (_POS, 1.0),
+        "n_grid": (_array(_POSINT, 1), list(range(2, 31))),
+        "T2_grid_s": (_array(_POS, 1), [0.1, 10.0, 1000.0]),
     },
     "readout": {
         # w1/2pi = 10 kHz, Omega = 2*w1, w_m = w1^2/(10*Omega):
         # adiabaticity w1^2/(Omega*w_m) = 10.
-        "b1_T": TWO_PI * 10e3 / _GAMMA_F,
-        "omega_m_rad_per_s": TWO_PI * 10e3 / 20.0,
-        "excursion_rad_per_s": 2.0 * TWO_PI * 10e3,
-        "n_periods": 8,
-        "gamma_rad_per_s_T": _GAMMA_F,
-        "initial": "up",
-        "steps_per_period": 4000,
+        "b1_T": (_NONNEG, TWO_PI * 10e3 / _GAMMA_F),
+        "omega_m_rad_per_s": (_POS, TWO_PI * 10e3 / 20.0),
+        "excursion_rad_per_s": (_POS, 2.0 * TWO_PI * 10e3),
+        "n_periods": (_POSINT, 8),
+        "gamma_rad_per_s_T": (_POS, _GAMMA_F),
+        "initial": (_enum("up", "down"), "up"),
+        "steps_per_period": (_int(100), 4000),
+        "delta_omega_rad_per_s": (_POS, None),
         "cantilever": {
-            "spring_constant_N_per_m": 1e-3,
-            "resonance_freq_Hz": 5e3,
-            "quality": 5e4,
-            "temperature_K": 4.0,
-            "bandwidth_Hz": 1.0,
+            "spring_constant_N_per_m": (_POS, 1e-3),
+            "resonance_freq_Hz": (_POS, 5e3),
+            "quality": (_POS, 5e4),
+            "temperature_K": (_POS, 4.0),
+            "bandwidth_Hz": (_POS, 1.0),
         },
     },
 }
 
 
-@dataclass(frozen=True)
+def _validate(spec: dict, obj, path: str) -> dict:
+    """Check obj against a spec table; return a new dict with defaults."""
+    if not isinstance(obj, dict):
+        _fail(path, f"expected an object, got {obj!r}")
+    for key in obj:
+        if key not in spec:
+            _fail(path, f"unknown key {key!r}")
+    out = {}
+    for key, entry in spec.items():
+        sub = f"{path}/{key}" if path else key
+        if isinstance(entry, dict):
+            out[key] = _validate(entry, obj.get(key, {}), sub)
+        elif key in obj:
+            out[key] = entry[0](obj[key], sub)
+        elif entry[1] is _REQUIRED:
+            _fail(path, f"missing key {key!r}")
+        elif entry[1] is not None:
+            out[key] = copy.deepcopy(entry[1])
+    return out
+
+
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated configuration with defaults applied."""
 
@@ -257,29 +198,15 @@ class RunConfig:
         return copy.deepcopy(self.raw[name])
 
     def lattice(self) -> ChainLattice:
+        """The preset, with any field the config overrides replaced."""
         s = self.raw["lattice"]
-        override_keys = {"name", "a_m", "transverse_basis_m",
-                         "gamma_rad_per_s_T", "phi_rad"}
-        if override_keys & set(s):
-            base = get_preset(s["preset"]) if "preset" in s else None
-            def pick(key, attr, default=None):
-                if key in s:
-                    return s[key]
-                if base is not None:
-                    return getattr(base, attr)
-                if default is not None:
-                    return default
-                raise ConfigError(f"lattice override requires {key!r}")
-            basis = pick("transverse_basis_m", "transverse_basis")
-            return ChainLattice(
-                name=pick("name", "name", "custom"),
-                a=pick("a_m", "a"),
-                transverse_basis=tuple(tuple(v) for v in basis),
-                gamma=pick("gamma_rad_per_s_T", "gamma"),
-                phi=pick("phi_rad", "phi", 0.0) if "phi_rad" in s or base
-                else 0.0,
-            )
-        return get_preset(s["preset"])
+        fields = {"name": "name", "a": "a_m", "gamma": "gamma_rad_per_s_T",
+                  "phi": "phi_rad"}
+        over = {f: s[k] for f, k in fields.items() if k in s}
+        if "transverse_basis_m" in s:
+            over["transverse_basis"] = tuple(
+                tuple(v) for v in s["transverse_basis_m"])
+        return dataclasses.replace(get_preset(s["preset"]), **over)
 
     def magnet(self) -> PrismMagnet:
         s = self.raw["magnet"]
@@ -327,28 +254,13 @@ class RunConfig:
         )
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = copy.deepcopy(v)
-    return out
-
-
 def default_config() -> dict:
-    return copy.deepcopy(_DEFAULTS)
+    return _validate(_SPEC, {"schema_version": CONFIG_SCHEMA_VERSION}, "")
 
 
 def parse_config(obj: dict) -> RunConfig:
-    """Validate a config object against the schema and apply defaults."""
-    try:
-        jsonschema.validate(obj, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from None
-    return RunConfig(raw=_merge(_DEFAULTS, obj))
+    """Validate a config object against the table and apply defaults."""
+    return RunConfig(raw=_validate(_SPEC, obj, ""))
 
 
 def _finite(text: str) -> float:

@@ -53,9 +53,9 @@ class ChainLattice:
     phi: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:
             raise ConfigError(f"chain spacing must be positive, got {self.a}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ConfigError(f"gamma must be positive, got {self.gamma}")
         (ax, ay), (bx, by) = self.transverse_basis
         if abs(ax * by - ay * bx) == 0.0:

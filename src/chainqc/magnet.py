@@ -50,9 +50,9 @@ class PrismMagnet:
     label: str = ""
 
     def __post_init__(self):
-        if self.w <= 0 or self.h <= 0 or self.d <= 0:
+        if not (self.w > 0 and self.h > 0 and self.d > 0):
             raise ConfigError("prism dimensions must be positive")
-        if self.magnetization < 0:
+        if not self.magnetization >= 0:
             raise ConfigError("magnetization must be non-negative")
 
     @property

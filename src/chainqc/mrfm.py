@@ -36,6 +36,9 @@ __all__ = [
 
 DEFAULT_GAMMA = TWO_PI * 40e6          # 19F, rad/s/T
 DEFAULT_FORCE_THRESHOLD = 5.6e-18      # N (reported 4 K resolution x 1 Hz)
+# Largest CAI trace (three float arrays, 240 MB); the default readout takes
+# 32 000 steps.
+MAX_CAI_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class CantileverModel:
     def __post_init__(self):
         for name in ("spring_constant", "resonance_freq", "quality",
                      "temperature", "bandwidth"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
 
 
@@ -70,9 +73,9 @@ class ScalabilityParams:
     def __post_init__(self):
         for name in ("B0", "temperature", "N", "grad", "gamma", "T2_0",
                      "L", "delta_omega", "force_threshold", "bandwidth"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
-        if self.n < 1:
+        if not self.n >= 1:
             raise ConfigError("n must be at least 1")
 
     @property
@@ -96,10 +99,10 @@ class CAIParams:
     gamma: float = DEFAULT_GAMMA
 
     def __post_init__(self):
-        if self.b1 < 0:
+        if not self.b1 >= 0:
             raise ConfigError("b1 must be non-negative")
         for name in ("omega_m", "excursion", "duration", "gamma"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
 
     @property
@@ -279,15 +282,20 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     if initial not in ("up", "down"):
         raise ConfigError("initial must be 'up' or 'down'")
     period = TWO_PI / params.omega_m
-    n_periods = params.duration / period
-    if abs(n_periods - round(n_periods)) > 1e-9 or round(n_periods) < 1:
-        raise ConfigError(
-            "duration must be a positive integer number of modulation periods")
-    n_periods = int(round(n_periods))
     w1 = params.omega_1
     Om = params.excursion
     w_eff_max = math.hypot(w1, Om)
     dt = min(period / steps_per_period, 0.1 / w_eff_max)
+    # Checked first: a tiny omega_m makes the step count, and with it the
+    # three trace arrays, unbounded, or the period count inf/inf = NaN.
+    if not params.duration / dt <= MAX_CAI_STEPS:
+        raise ConfigError(
+            f"CAI readout needs {params.duration / dt:.3g} steps, more than "
+            f"the limit of {MAX_CAI_STEPS}")
+    n_periods = params.duration / period
+    if abs(n_periods - round(n_periods)) > 1e-9 or round(n_periods) < 1:
+        raise ConfigError(
+            "duration must be a positive integer number of modulation periods")
     n_steps = int(math.ceil(params.duration / dt))
     if n_steps <= 0:
         raise ConfigError("step-size underflow")

@@ -1,10 +1,16 @@
 """Config validation and CLI behavior: outputs, exit codes, determinism."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainqc import cli, config
+from chainqc import cli, config, lattice, magnet, mrfm
 from chainqc.errors import ConfigError
 
 
@@ -16,6 +22,90 @@ def write_cfg(tmp_path, obj, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def _v1(**sections):
+    return dict(sections, schema_version=1)
+
+
+# (config, path named in the error): one case per rule of the config table.
+_REJECTED = [
+    (_v1(bogus={}), "<root>"),
+    (_v1(lattice={"spacing": 1.0}), "lattice"),
+    (_v1(readout={"cantilever": {"mass_kg": 1.0}}), "readout/cantilever"),
+    ({}, "<root>"),
+    ({"schema_version": 2}, "schema_version"),
+    ({"schema_version": 1.0}, "schema_version"),
+    ({"schema_version": True}, "schema_version"),
+    ([], "<root>"),
+    (_v1(magnet=[]), "magnet"),
+    (_v1(readout={"cantilever": 1.0}), "readout/cantilever"),
+    (_v1(lattice={"phi_rad": "0"}), "lattice/phi_rad"),
+    (_v1(lattice={"a_m": True}), "lattice/a_m"),
+    (_v1(lattice={"a_m": 0}), "lattice/a_m"),
+    (_v1(lattice={"a_m": 10**400}), "lattice/a_m"),
+    (_v1(lattice={"phi_rad": math.nan}), "lattice/phi_rad"),
+    (_v1(readout={"cantilever": {"quality": 0.0}}),
+     "readout/cantilever/quality"),
+    (_v1(magnet={"magnetization_A_per_m": -1}),
+     "magnet/magnetization_A_per_m"),
+    (_v1(magnet={"extent_x_m": None}), "magnet/extent_x_m"),
+    (_v1(spin_system={"n_planes": 3.0}), "spin_system/n_planes"),
+    (_v1(spin_system={"n_planes": True}), "spin_system/n_planes"),
+    (_v1(spin_system={"cnot_target": -1}), "spin_system/cnot_target"),
+    (_v1(magnet={"homogeneity_samples": 1}), "magnet/homogeneity_samples"),
+    (_v1(readout={"n_periods": 10**400}), "readout/n_periods"),
+    (_v1(lattice={"include_lower_plane": 1}), "lattice/include_lower_plane"),
+    (_v1(lattice={"preset": 5}), "lattice/preset"),
+    (_v1(spin_system={"schedule": "swap"}), "spin_system/schedule"),
+    (_v1(readout={"initial": 1}), "readout/initial"),
+    (_v1(magnet={"center_m": [0.0, 0.0]}), "magnet/center_m"),
+    (_v1(sequence={"recouple": [1, 2, 3]}), "sequence/recouple"),
+    (_v1(lattice={"transverse_basis_m": [[1e-9, 0.0], [0.0]]}),
+     "lattice/transverse_basis_m/1"),
+    (_v1(magnet={"sample_origin_m": [0.0, 0.0, "x"]}),
+     "magnet/sample_origin_m/2"),
+    (_v1(scalability={"n_grid": []}), "scalability/n_grid"),
+    (_v1(spin_system={"chain_positions_a": []}),
+     "spin_system/chain_positions_a"),
+    (_v1(scalability={"T2_grid_s": 0.1}), "scalability/T2_grid_s"),
+    (_v1(scalability={"T2_grid_s": [0.1, 0]}), "scalability/T2_grid_s/1"),
+    (_v1(scalability={"n_grid": [2, 3.0]}), "scalability/n_grid/1"),
+]
+
+# Every key of the table, for the fuzz test: sections, keys with defaults,
+# the optional keys that have none, and one unknown key.
+_DEFAULTS = config.default_config()
+_SECTIONS = [k for k in _DEFAULTS if k != "schema_version"]
+_KEY_PATHS = (
+    [(sec,) for sec in _SECTIONS]
+    + [(sec, key) for sec in _SECTIONS for key in _DEFAULTS[sec]]
+    + [("readout", "cantilever", key)
+       for key in _DEFAULTS["readout"]["cantilever"]]
+    + [("lattice", k) for k in ("name", "a_m", "transverse_basis_m",
+                                "gamma_rad_per_s_T", "phi_rad")]
+    + [("magnet", "grad_override_T_per_m"), ("sequence", "recouple"),
+       ("readout", "delta_omega_rad_per_s"), ("schema_version",),
+       ("lattice", "bogus")]
+)
+
+# Numbers at the edges of the float range, where an accessor's arithmetic
+# can overflow or divide by zero, then any JSON value at all.
+_EDGE = st.sampled_from([10**400, 1e-320, 1e300, 1.7e308, 0, 3.0, -1, True,
+                         "up"])
+_JSON = st.recursive(
+    _EDGE | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_VALUE = _EDGE | st.lists(_EDGE, min_size=1, max_size=3) | _JSON
+
+
+def _accessors(cfg):
+    calls = [lambda name=name: cfg.section(name) for name in _SECTIONS]
+    return calls + [cfg.lattice, cfg.magnet, cfg.scalability, cfg.cai,
+                    cfg.cantilever]
 
 
 class TestConfig:
@@ -53,6 +143,69 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config.parse_config({"schema_version": 1,
                                  "magnet": {"w_m": -1.0}})
+
+    @pytest.mark.parametrize("obj, path", _REJECTED)
+    def test_rejection_names_path(self, obj, path):
+        with pytest.raises(ConfigError) as exc:
+            config.parse_config(obj)
+        assert str(exc.value).startswith(f"config invalid at {path}: ")
+
+    def test_defaults_are_fresh_copies(self):
+        a, b = config.default_config(), config.default_config()
+        a["scalability"]["n_grid"].append(99)
+        assert b == config.default_config()
+        given_grid = [2, 3]
+        cfg = config.parse_config(_v1(scalability={"n_grid": given_grid}))
+        given_grid.append(4)
+        assert cfg.raw["scalability"]["n_grid"] == [2, 3]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_KEY_PATHS), _VALUE),
+                    min_size=1, max_size=4))
+    def test_fuzzed_config_raises_only_config_error(self, edits):
+        obj = {"schema_version": 1}
+        for path, value in edits:
+            node = obj
+            for key in path[:-1]:
+                if not isinstance(node.get(key), dict):
+                    node[key] = {}
+                node = node[key]
+            node[path[-1]] = value
+        try:
+            cfg = config.parse_config(obj)
+        except ConfigError:
+            return
+        for call in _accessors(cfg):
+            try:
+                call()
+            except ConfigError:
+                pass
+
+    @pytest.mark.parametrize("make", [
+        lambda: lattice.ChainLattice("x", math.nan, ((1e-9, 0.0), (0.0, 1e-9)),
+                                     2.5e8),
+        lambda: lattice.ChainLattice("x", 3e-10, ((1e-9, 0.0), (0.0, 1e-9)),
+                                     math.nan),
+        lambda: magnet.PrismMagnet(1e-5, math.nan, 1e-5),
+        lambda: magnet.PrismMagnet(1e-5, 1e-5, 1e-5, magnetization=math.nan),
+        lambda: mrfm.ScalabilityParams(B0=math.nan),
+        lambda: mrfm.ScalabilityParams(n=math.nan),
+        lambda: mrfm.CAIParams(b1=math.nan, omega_m=1.0, excursion=1.0,
+                               duration=1.0),
+        lambda: mrfm.CAIParams(b1=1e-4, omega_m=math.nan, excursion=1.0,
+                               duration=1.0),
+        lambda: mrfm.CantileverModel(1e-3, 5e3, math.nan, 4.0),
+    ])
+    def test_dataclasses_reject_nan(self, make):
+        with pytest.raises(ConfigError):
+            make()
+
+    def test_import_loads_no_jsonschema(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        subprocess.run(
+            [sys.executable, "-c",
+             "import chainqc.cli, sys; assert 'jsonschema' not in sys.modules"],
+            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
 class TestExitCodes:
@@ -128,6 +281,43 @@ class TestExitCodes:
         assert run(["simulate", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
         assert "too close" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, section, body", [
+        ("simulate", "spin_system", {"n_planes": 3.0}),
+        ("schedule", "sequence", {"n_planes": 3.0}),
+        ("lattice", "lattice", {"max_plane_separation": 3.0}),
+        ("magnet", "magnet", {"homogeneity_samples": 11.0}),
+        ("simulate", "spin_system", {"n_planes": 2, "schedule": "cnot",
+                                     "cnot_control": 0.0}),
+        ("schedule", "sequence", {"recouple": [1.0, 2]}),
+    ])
+    def test_integral_float_in_integer_field_exits_2(
+            self, tmp_path, capsys, command, section, body):
+        cfg = write_cfg(tmp_path, _v1(**{section: body}))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config invalid at" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, a_m", [
+        ("lattice", 1e-300),   # ZeroDivisionError in the coupling
+        ("simulate", 1e300),   # OverflowError building the register
+    ])
+    def test_arithmetic_error_exits_3(self, tmp_path, capsys, command, a_m):
+        cfg = write_cfg(tmp_path, _v1(lattice={"a_m": a_m}))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("omega_m", [1e-300, 1e-320])
+    def test_readout_step_cap_exits_2(self, tmp_path, capsys, omega_m):
+        cfg = write_cfg(tmp_path, _v1(readout={"omega_m_rad_per_s": omega_m}))
+        out = tmp_path / "o"
+        assert run(["readout", "--config", cfg, "--out", str(out)]) == 2
+        assert "steps, more than the limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scalability_bracket_failure_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
