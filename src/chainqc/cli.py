@@ -4,8 +4,8 @@ Subcommands: lattice, magnet, schedule, simulate, scalability, readout.
 Every command reads one JSON config (defaults apply without one), writes its
 outputs under --out, and is deterministic: identical configs give
 byte-identical files once the timestamped meta line is disabled with
---no-meta.  Exit codes: 0 success, 2 config/validation error, 3 numerical
-failure.
+--no-meta.  Exit codes: 0 success, 2 config error, 3 schedule validation
+error or numerical failure.
 """
 
 from __future__ import annotations

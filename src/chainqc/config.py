@@ -26,6 +26,12 @@ __all__ = ["CONFIG_SCHEMA_VERSION", "RunConfig", "load_config",
 
 CONFIG_SCHEMA_VERSION = 1
 
+# Size keys that set a loop or an output table one for one.  At each cap a
+# run takes under a second and writes about a megabyte at most.
+MAX_PLANE_SEPARATION = 10_000      # lattice rows
+MAX_MAGNET_PLANES = 10_000         # splitting-table rows
+MAX_HOMOGENEITY_SAMPLES = 1001     # per side of the field grid
+
 # The config table: every key appears once, as ``key: (check, default)``, and
 # a nested dict is a section.  A check takes (value, path) and returns the
 # value (arrays as new lists) or raises ConfigError.  A default of None means
@@ -58,10 +64,10 @@ _BOOL = _rule(lambda x: type(x) is bool, "true or false")
 _STR = _rule(lambda x: type(x) is str, "a string")
 
 
-def _int(lo: int):
-    """A JSON integer >= lo; 3.0 and true are not integers."""
-    return _rule(lambda x: type(x) is int and _is_number(x) and x >= lo,
-                 f"an integer >= {lo}")
+def _int(lo: int, hi: float = math.inf):
+    """A JSON integer in [lo, hi]; 3.0 and true are not integers."""
+    return _rule(lambda x: type(x) is int and _is_number(x) and lo <= x <= hi,
+                 f"an integer in [{lo}, {hi}]")
 
 
 def _enum(*values):
@@ -95,7 +101,7 @@ _SPEC = {
         "phi_rad": (_NUMBER, None),
         "rel_tol": (_POS, 1e-4),
         "include_lower_plane": (_BOOL, False),
-        "max_plane_separation": (_POSINT, 10),
+        "max_plane_separation": (_int(1, MAX_PLANE_SEPARATION), 10),
     },
     "magnet": {
         # 10 um cube, mu0*M = 2.2 T, sample line 1 um below the bottom face.
@@ -105,10 +111,10 @@ _SPEC = {
         "center_m": (_VEC3, [0.0, 0.0, 6e-6]),
         "magnetization_A_per_m": (_NONNEG, 1.7507e6),
         "sample_origin_m": (_VEC3, [0.0, 0.0, 0.0]),
-        "n_planes": (_POSINT, 12),
+        "n_planes": (_int(1, MAX_MAGNET_PLANES), 12),
         "extent_x_m": (_NONNEG, 2e-8),
         "extent_y_m": (_NONNEG, 2e-8),
-        "homogeneity_samples": (_int(2), 11),
+        "homogeneity_samples": (_int(2, MAX_HOMOGENEITY_SAMPLES), 11),
         "homogeneity_threshold": (_POS, 1.0),
         "grad_override_T_per_m": (_POS, None),
     },

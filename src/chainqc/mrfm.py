@@ -79,10 +79,6 @@ class ScalabilityParams:
             raise ConfigError("n must be at least 1")
 
     @property
-    def field_over_temp(self) -> float:
-        return self.B0 / self.temperature
-
-    @property
     def detection_threshold(self) -> float:
         """Force threshold for the configured bandwidth (N)."""
         return self.force_threshold * math.sqrt(self.bandwidth)

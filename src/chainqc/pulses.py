@@ -97,10 +97,6 @@ class Sequence:
             raise SequenceValidationError(
                 "sequence events overlap or run past cycle_time", offenders)
 
-    def shifted(self, dt: float) -> "Sequence":
-        evs = tuple(replace(e, t_start=e.t_start + dt) for e in self.events)
-        return Sequence(evs, self.cycle_time + dt, self.label)
-
 
 @dataclass(frozen=True)
 class SignMatrix:

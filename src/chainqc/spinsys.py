@@ -19,14 +19,15 @@ Iz = +1/2).  H is written straight from that bit table: a diagonal of
 offsets and zz terms plus the in-plane flip-flop entries.  Free evolution
 runs through one cached eigendecomposition of H per system, and an ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
-reshaped to (2,)*n.  Only sampled (finite-width) pulses still build dense
-drive operators with ``single_spin_op``.
+reshaped to (2,)*n.  A sampled (finite-width) pulse writes its drive from
+the same bit table and steps in the drive's rotating frame.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -285,37 +286,30 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
     n_chains = len(positions)
     if n_planes < 1 or n_chains < 1:
         raise ConfigError("need at least one plane and one chain")
-    if n_planes * n_chains > MAX_SPINS:
+    if n_planes * n_chains > MAX_SPINS:  # fail before the O(n^2) pair loop
         raise ConfigError(
             f"{n_planes * n_chains} spins exceeds the cap of {MAX_SPINS}")
     dw = splitting(lat, grad)
     offsets = tuple(p * dw for p in range(n_planes))
     base = MU0_OVER_4PI * lat.gamma**2 * HBAR
     couplings = []
-    def spin(p, c):
-        return p * n_chains + c
-    for p1 in range(n_planes):
-        for c1 in range(n_chains):
-            for p2 in range(n_planes):
-                for c2 in range(n_chains):
-                    s1, s2 = spin(p1, c1), spin(p2, c2)
-                    if s2 <= s1:
-                        continue
-                    dxy = (np.array(positions[c2]) - np.array(positions[c1])) * lat.a
-                    dz = (p2 - p1) * lat.a
-                    r = math.sqrt(dxy[0]**2 + dxy[1]**2 + dz**2)
-                    r3 = r**3
-                    coeff = (base * (1.0 - 3.0 * (dz / r) ** 2) / r3
-                             if r3 > 0.0 else math.inf)
-                    if not math.isfinite(coeff):
-                        raise ConfigError(
-                            f"spins {s1} and {s2} are too close "
-                            f"(r = {r:.3e} m) for a finite coupling")
-                    if p1 == p2:
-                        if include_same_plane:
-                            couplings.append(Coupling(s1, s2, "full_dipolar", coeff))
-                    else:
-                        couplings.append(Coupling(s1, s2, "zz", coeff))
+    for s1, s2 in itertools.combinations(range(n_planes * n_chains), 2):
+        (p1, c1), (p2, c2) = divmod(s1, n_chains), divmod(s2, n_chains)
+        dxy = (np.array(positions[c2]) - np.array(positions[c1])) * lat.a
+        dz = (p2 - p1) * lat.a
+        r = math.sqrt(dxy[0]**2 + dxy[1]**2 + dz**2)
+        r3 = r**3
+        coeff = (base * (1.0 - 3.0 * (dz / r) ** 2) / r3
+                 if r3 > 0.0 else math.inf)
+        if not math.isfinite(coeff):
+            raise ConfigError(
+                f"spins {s1} and {s2} are too close "
+                f"(r = {r:.3e} m) for a finite coupling")
+        if p1 == p2:
+            if include_same_plane:
+                couplings.append(Coupling(s1, s2, "full_dipolar", coeff))
+        else:
+            couplings.append(Coupling(s1, s2, "zz", coeff))
     return SpinSystem(
         n_planes=n_planes,
         chain_positions=tuple(positions),
@@ -363,18 +357,20 @@ def _pulse_step(sys: SpinSystem, event):
     return step
 
 
-def _sampled_pulse_unitary(sys: SpinSystem, H: np.ndarray, event) -> np.ndarray:
-    """Finite-duration pulse as a rotating-wave drive on every spin.
+def _sampled_pulse_step(sys: SpinSystem, H: np.ndarray, event):
+    """X -> U X for a finite pulse: a rotating-wave drive on every spin.
 
-    The drive oscillates at the target plane's offset (0 for broadband), so
-    spins in other planes see it off-resonance; selectivity is physical, not
-    imposed.
+    The drive oscillates at the target plane's offset wd (0 for broadband),
+    so spins in other planes see it off-resonance; selectivity is physical,
+    not imposed.  Sub-step j holds the drive at its midpoint phase ph_j, and
+    Hd(ph) = -w1 (cos(ph) Fx + sin(ph) Fy) = R Hd(0) R^dag with
+    R = exp(-i ph Fz).  H conserves total Fz, so each sub-step is
+    exp(-i (H + Hd(ph_j)) dt) = R_j W R_j^dag with W = exp(-i (H - w1 Fx) dt):
+    one eigendecomposition per pulse and diagonal phases around it.
     """
-    n = sys.total_spins
     w1 = event.flip_angle / event.duration
     wd = 0.0 if event.target == "broadband" else sys.offsets[event.target]
-    max_off = max((abs(a - b) for a in sys.offsets for b in sys.offsets),
-                  default=0.0)
+    max_off = max(sys.offsets) - min(sys.offsets)
     dt = event.duration / 10.0
     if max_off > 0:
         dt = min(dt, 1.0 / (20.0 * max_off))
@@ -382,15 +378,21 @@ def _sampled_pulse_unitary(sys: SpinSystem, H: np.ndarray, event) -> np.ndarray:
     dt = event.duration / n_steps
     if dt <= 0:
         raise ConfigError("sampled-pulse step underflow")
-    sx_all = sum(single_spin_op(n, s, SX) for s in range(n))
-    sy_all = sum(single_spin_op(n, s, SY) for s in range(n))
-    U = np.eye(sys.dim, dtype=complex)
-    for k in range(n_steps):
-        t = event.t_start + (k + 0.5) * dt
-        ph = wd * t + event.phase
-        Hd = -w1 * (math.cos(ph) * sx_all + math.sin(ph) * sy_all)
-        U = _expm_herm(H + Hd, dt) @ U
-    return U
+    k = np.arange(sys.dim)
+    Hp = H.copy()
+    for b in range(sys.total_spins):
+        Hp[k, k ^ (1 << b)] = -0.5 * w1  # -w1 Ix of the spin on bit b
+    W = _expm_herm(Hp, dt)
+    fz = sys._iz_table.sum(axis=1)
+
+    def step(X):
+        Y = X.reshape(sys.dim, -1)
+        for j in range(n_steps):
+            ph = wd * (event.t_start + (j + 0.5) * dt) + event.phase
+            r = np.exp(-1j * ph * fz)[:, None]
+            Y = r * (W @ (r.conj() * Y))
+        return Y.reshape(X.shape)
+    return step
 
 
 def _walk(sys: SpinSystem, seq, mode: str):
@@ -401,10 +403,11 @@ def _walk(sys: SpinSystem, seq, mode: str):
     if mode not in ("ideal", "sampled"):
         raise ConfigError(f"unknown mode {mode!r}")
     events = list(seq.events)
+    if mode == "ideal" and any(e.duration > 0 for e in events):
+        raise ConfigError("ideal mode takes only zero-width pulses; "
+                          "finite widths need mode='sampled'")
     if mode == "sampled":
-        intervals = [(e.t_start, e.t_start + e.duration) for e in events
-                     if e.duration > 0]
-        intervals.sort()
+        intervals = [(e.t_start, e.t_end) for e in events if e.duration > 0]
         for (a0, a1), (b0, b1) in zip(intervals, intervals[1:]):
             if b0 < a1:
                 raise SequenceValidationError(
@@ -418,11 +421,9 @@ def _walk(sys: SpinSystem, seq, mode: str):
             raise SequenceValidationError("events out of order", [ev])
         if gap > 0:
             yield ev.t_start, _free_step(sys, gap)
-        if mode == "ideal" or ev.duration == 0.0:
-            yield ev.t_start + ev.duration, _pulse_step(sys, ev)
-        else:
-            U = _sampled_pulse_unitary(sys, H, ev)
-            yield ev.t_start + ev.duration, functools.partial(np.matmul, U)
+        step = (_pulse_step(sys, ev) if ev.duration == 0.0
+                else _sampled_pulse_step(sys, H, ev))
+        yield ev.t_start + ev.duration, step
         t = ev.t_start + ev.duration
     if seq.cycle_time > t:
         yield seq.cycle_time, _free_step(sys, seq.cycle_time - t)

@@ -319,6 +319,31 @@ class TestExitCodes:
         assert "steps, more than the limit" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_finite_pi_width_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, _v1(spin_system={"n_planes": 2},
+                                      sequence={"pi_width_s": 1e-6}))
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "zero-width" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, section, key, cap", [
+        ("lattice", "lattice", "max_plane_separation",
+         config.MAX_PLANE_SEPARATION),
+        ("magnet", "magnet", "n_planes", config.MAX_MAGNET_PLANES),
+        ("magnet", "magnet", "homogeneity_samples",
+         config.MAX_HOMOGENEITY_SAMPLES),
+    ])
+    def test_size_key_above_cap_exits_2(self, tmp_path, capsys, command,
+                                        section, key, cap):
+        config.parse_config(_v1(**{section: {key: cap}}))
+        cfg = write_cfg(tmp_path, _v1(**{section: {key: cap + 1}}))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"config invalid at {section}/{key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scalability_bracket_failure_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,

@@ -2,7 +2,8 @@
 
 The oracle is the original dense implementation: H summed from embedded
 single- and two-spin operators, one eigendecomposition per free window and
-per pulse, and the CNOT target as a product of projectors.  It is kept here
+per pulse, a finite pulse sampled with one eigendecomposition of H + Hd per
+sub-step, and the CNOT target as a product of projectors.  It is kept here
 only as a reference for registers of up to 8 spins.
 """
 
@@ -12,7 +13,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from chainqc import lattice, pulses, spinsys
-from chainqc.spinsys import ID2, SX, SY, SZ, QuantumState
+from chainqc.errors import ConfigError
+from chainqc.spinsys import ID2, SX, SY, SZ, QuantumState, single_spin_op
 
 FAP = lattice.get_preset("fluorapatite")
 LAM = 2.7214  # nearest-neighbour chain spacing of fluorapatite, units of a
@@ -63,22 +65,55 @@ def dense_pulse(sys, ev):
     return expm_herm(G, -ev.flip_angle)
 
 
+def dense_sampled_pulse(sys, H, event):
+    """Finite-duration pulse as a rotating-wave drive on every spin.
+
+    The drive oscillates at the target plane's offset (0 for broadband), so
+    spins in other planes see it off-resonance; selectivity is physical, not
+    imposed.
+    """
+    n = sys.total_spins
+    w1 = event.flip_angle / event.duration
+    wd = 0.0 if event.target == "broadband" else sys.offsets[event.target]
+    max_off = max((abs(a - b) for a in sys.offsets for b in sys.offsets),
+                  default=0.0)
+    dt = event.duration / 10.0
+    if max_off > 0:
+        dt = min(dt, 1.0 / (20.0 * max_off))
+    n_steps = max(1, int(math.ceil(event.duration / dt)))
+    dt = event.duration / n_steps
+    if dt <= 0:
+        raise ConfigError("sampled-pulse step underflow")
+    sx_all = sum(single_spin_op(n, s, SX) for s in range(n))
+    sy_all = sum(single_spin_op(n, s, SY) for s in range(n))
+    U = np.eye(sys.dim, dtype=complex)
+    for k in range(n_steps):
+        t = event.t_start + (k + 0.5) * dt
+        ph = wd * t + event.phase
+        Hd = -w1 * (math.cos(ph) * sx_all + math.sin(ph) * sy_all)
+        U = expm_herm(H + Hd, dt) @ U
+    return U
+
+
 def dense_walk(sys, seq):
-    """(time, U_segment) pieces of an ideal-pulse sequence."""
+    """(time, U_segment) pieces; finite-width pulses are sampled."""
     H = dense_hamiltonian(sys)
     t = 0.0
     for ev in seq.events:
         if ev.t_start > t:
             yield ev.t_start, expm_herm(H, ev.t_start - t)
-        yield ev.t_start + ev.duration, dense_pulse(sys, ev)
+        U = (dense_sampled_pulse(sys, H, ev) if ev.duration > 0
+             else dense_pulse(sys, ev))
+        yield ev.t_start + ev.duration, U
         t = ev.t_start + ev.duration
     if seq.cycle_time > t:
         yield seq.cycle_time, expm_herm(H, seq.cycle_time - t)
 
 
-def dense_evolve(sys, seq, data):
+def dense_evolve(pieces, data):
+    """Trajectory of a state vector or density matrix through the pieces."""
     out = [(0.0, data)]
-    for t, U in dense_walk(sys, seq):
+    for t, U in pieces:
         if data.ndim == 1:
             data = U @ data
             data = data / np.linalg.norm(data)
@@ -133,9 +168,30 @@ def schedules(draw, n_planes):
 
 
 @st.composite
-def register_and_schedule(draw):
+def sampled_schedules(draw, n_planes):
+    """Back-to-back finite (0.05-1 us) and zero-width pulses with random gaps.
+
+    Each pulse starts at or after the end of the one before, so no two
+    overlap, as sampled mode requires.
+    """
+    target = st.one_of(st.just("broadband"), st.integers(0, n_planes - 1))
+    width = st.one_of(st.just(0.0), st.floats(5e-8, 1e-6))
+    events, t = [], 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        t += draw(st.one_of(st.just(0.0), st.floats(0.0, 2e-6)))
+        ev = pulses.PulseEvent(t, draw(width),
+                               draw(st.floats(1e-3, 2 * math.pi)),
+                               draw(st.floats(0.0, 2 * math.pi)), draw(target))
+        events.append(ev)
+        t = ev.t_end
+    T = t + draw(st.floats(0.0, 2e-6))
+    return pulses.Sequence(tuple(events), cycle_time=T)
+
+
+@st.composite
+def register_and_schedule(draw, sequences=schedules):
     sys = draw(registers())
-    return sys, draw(schedules(sys.n_planes))
+    return sys, draw(sequences(sys.n_planes))
 
 
 def plane_iz(sys, p):
@@ -170,24 +226,35 @@ def test_hamiltonian_matches_dense_and_conserves_plane_iz(sys):
         assert np.linalg.norm(H @ M - M @ H) <= 1e-12 * scale
 
 
-@SETTINGS
-@given(register_and_schedule(), st.integers(0, 2**32 - 1))
-def test_propagator_and_evolve_match_dense(case, seed):
-    sys, seq = case
+def check_against_dense(sys, seq, mode, seed):
+    """propagator and pure and density evolve match the oracle to 1e-10."""
+    pieces = list(dense_walk(sys, seq))
     U_dense = np.eye(sys.dim, dtype=complex)
-    for _, U in dense_walk(sys, seq):
+    for _, U in pieces:
         U_dense = U @ U_dense
-    U_fast = spinsys.propagator(sys, seq).matrix
+    U_fast = spinsys.propagator(sys, seq, mode).matrix
     assert np.max(np.abs(U_fast - U_dense)) <= 1e-10
 
     rng = np.random.default_rng(seed)
     for data, make in ((random_pure(rng, sys.dim), QuantumState.pure),
                        (random_density(rng, sys.dim), QuantumState.density)):
-        fast = spinsys.evolve(sys, seq, make(data))
-        dense = dense_evolve(sys, seq, data)
+        fast = spinsys.evolve(sys, seq, make(data), mode)
+        dense = dense_evolve(pieces, data)
         assert [t for t, _ in fast] == [t for t, _ in dense]
         for (_, a), (_, b) in zip(fast, dense):
             assert np.max(np.abs(a.data - b)) <= 1e-10
+
+
+@SETTINGS
+@given(register_and_schedule(), st.integers(0, 2**32 - 1))
+def test_propagator_and_evolve_match_dense(case, seed):
+    check_against_dense(*case, "ideal", seed)
+
+
+@SETTINGS
+@given(register_and_schedule(sampled_schedules), st.integers(0, 2**32 - 1))
+def test_sampled_pulses_match_dense_sampler(case, seed):
+    check_against_dense(*case, "sampled", seed)
 
 
 @SETTINGS

@@ -120,6 +120,9 @@ class TestBuildSystem:
     def test_cap(self):
         with pytest.raises(ConfigError):
             spinsys.build_system(FAP, 13, [(0.0, 0.0)], 1e6)
+        # checked before the pair loop, which would take hours at this size
+        with pytest.raises(ConfigError, match="exceeds the cap"):
+            spinsys.build_system(FAP, 10**6, [(0.0, 0.0)], 1e6)
 
 
 class TestQuantumState:
@@ -213,6 +216,30 @@ class TestEvolution:
         spinsys.propagator(sys, seq)
         spinsys.evolve(sys, seq, QuantumState.all_plus_x(3))
         assert shapes == [(8, 8)]
+
+    @pytest.mark.parametrize("seq, n_finite", [
+        (pulses.wahuha(1e-6, 2e-7), 4),
+        (pulses.Sequence((pulses.PulseEvent(0.0, 1e-6, math.pi, 0.0, 1),),
+                         cycle_time=1e-6), 1),
+    ])
+    def test_one_eigendecomposition_per_finite_pulse(self, monkeypatch, seq,
+                                                     n_finite):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
+        spinsys.propagator(sys, seq, mode="sampled")
+        has_free_window = seq.cycle_time > sum(e.duration for e in seq.events)
+        assert len(calls) == n_finite + has_free_window
+
+    def test_ideal_mode_rejects_finite_width(self):
+        sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
+        seq = pulses.wahuha(1e-6, 1e-7)
+        with pytest.raises(ConfigError, match="zero-width"):
+            spinsys.propagator(sys, seq, mode="ideal")
+        with pytest.raises(ConfigError, match="zero-width"):
+            spinsys.evolve(sys, seq, QuantumState.all_up(2), mode="ideal")
 
     def test_propagator_unitary_check(self):
         with pytest.raises(ConfigError):
