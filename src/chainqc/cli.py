@@ -326,8 +326,7 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     params = cfg.cai()
     res = mrfm.simulate_cai_readout(
         params, initial=s["initial"],
-        steps_per_period=s["steps_per_period"],
-        delta_omega=s.get("delta_omega_rad_per_s"))
+        steps_per_period=s["steps_per_period"])
     stride = max(1, len(res.times) // 4000)
     rows = [[float(res.times[k]), float(res.iz[k]), float(res.detuning[k])]
             for k in range(0, len(res.times), stride)]
@@ -342,7 +341,7 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, verbose: bool):
         "following_figure": res.following_figure,
         "modulation_amplitude": res.modulation_amplitude,
         "norm_drift": res.norm_drift,
-        "warning": res.warning,
+        "warning": params.excursion_warning(s.get("delta_omega_rad_per_s")),
         "thermal_force_noise_N_per_sqrt_Hz": mrfm.thermal_force_noise(cant),
     })
     if verbose:

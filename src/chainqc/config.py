@@ -16,7 +16,7 @@ import math
 import sys
 
 from .constants import TWO_PI
-from .errors import ConfigError
+from .errors import ConfigError, finite_json_number
 from .lattice import ChainLattice, get_preset
 from .magnet import PrismMagnet
 from .mrfm import CAIParams, CantileverModel, ScalabilityParams
@@ -269,21 +269,14 @@ def parse_config(obj: dict) -> RunConfig:
     return RunConfig(raw=_validate(_SPEC, obj, ""))
 
 
-def _finite(text: str) -> float:
-    """json number hook: NaN, Infinity and overflowing literals are errors."""
-    x = float(text)
-    if not math.isfinite(x):
-        raise ConfigError(f"non-finite number {text} in config")
-    return x
-
-
 def load_config(path: str | None) -> RunConfig:
     """Read and validate a JSON config file; None gives the defaults."""
     if path is None:
         return RunConfig(raw=default_config())
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            obj = json.load(fh, parse_float=finite_json_number,
+                            parse_constant=finite_json_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

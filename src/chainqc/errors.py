@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON number hook
+that raises one."""
+
+import math
 
 
 class ChainqcError(Exception):
@@ -22,3 +25,11 @@ class SequenceValidationError(ChainqcError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = list(offenders)
+
+
+def finite_json_number(text: str) -> float:
+    """json number hook: NaN, Infinity and overflowing literals are errors."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {text}")
+    return x

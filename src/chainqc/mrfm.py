@@ -9,6 +9,7 @@ inversion (CAI) readout.
 
 from __future__ import annotations
 
+import array
 import math
 from dataclasses import dataclass, replace
 
@@ -109,9 +110,9 @@ class CAIParams:
     def adiabaticity(self) -> float:
         return self.omega_1**2 / (self.excursion * self.omega_m)
 
-    def excursion_warning(self, delta_omega: float) -> str | None:
-        """The excursion should stay well below the plane splitting."""
-        if self.excursion >= 0.5 * delta_omega:
+    def excursion_warning(self, delta_omega: float | None) -> str | None:
+        """The excursion should stay well below a given plane splitting."""
+        if delta_omega is not None and self.excursion >= 0.5 * delta_omega:
             return (f"frequency excursion {self.excursion:.3e} rad/s is not "
                     f"small compared to the plane splitting "
                     f"{delta_omega:.3e} rad/s")
@@ -258,12 +259,10 @@ class CAIResult:
     following_figure: float      # min |<Iz>| / adiabatic prediction
     modulation_amplitude: float  # Fourier amplitude of <Iz> at omega_m
     norm_drift: float            # max | ||psi|| - 1 | over the trace
-    warning: str | None = None
 
 
 def simulate_cai_readout(params: CAIParams, initial: str = "up",
-                         steps_per_period: int = 4000,
-                         delta_omega: float | None = None) -> CAIResult:
+                         steps_per_period: int = 4000) -> CAIResult:
     """Single-spin cyclic adiabatic inversion trace.
 
     H(t) = -[Delta(t) Iz + omega_1 Ix] with Delta(t) = Omega*cos(omega_m*t):
@@ -271,12 +270,15 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     axial at t=0, and the spin starts in the adiabatic state of H(0) whose
     <Iz> sign matches ``initial`` (the turn-on at peak detuning models the
     adiabatic half passage that locks the thermal magnetization to the
-    effective field).  The adiabatic-following figure compares |<Iz>(t)|
-    against the locked-spin prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2)
-    wherever that prediction exceeds 0.1.
+    effective field).  Each step is the exact SU(2) propagator of H at its
+    midpoint, applied to the amplitudes (p, q) as two Python complex scalars.
+    The adiabatic-following figure compares |<Iz>(t)| against the locked-spin
+    prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2) where it exceeds 0.1.
     """
     if initial not in ("up", "down"):
         raise ConfigError("initial must be 'up' or 'down'")
+    if not steps_per_period >= 1:
+        raise ConfigError("steps_per_period must be at least 1")
     period = TWO_PI / params.omega_m
     w1 = params.omega_1
     Om = params.excursion
@@ -293,29 +295,24 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         raise ConfigError(
             "duration must be a positive integer number of modulation periods")
     n_steps = int(math.ceil(params.duration / dt))
-    if n_steps <= 0:
-        raise ConfigError("step-size underflow")
     dt = params.duration / n_steps
 
     # Initial state: eigenstate of H(0) (field in the x-z plane), with the
     # sign of <Iz> chosen by `initial`.  For b1 = 0 this is exactly |up>.
-    d0 = Om  # Delta(0) = Omega (peak)
-    theta = math.atan2(w1, d0)  # angle of the effective field from +z
+    theta = math.atan2(w1, Om)  # angle of the effective field from +z
+    ch, sh = math.cos(theta / 2.0), math.sin(theta / 2.0)
     if initial == "up":
-        psi = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)],
-                       dtype=complex)
+        p, q = complex(ch), complex(sh)
     else:
         # orthogonal (anti-aligned) eigenstate, <Iz> < 0 at t = 0
-        psi = np.array([math.sin(theta / 2.0), -math.cos(theta / 2.0)],
-                       dtype=complex)
+        p, q = complex(sh), complex(-ch)
 
-    times = np.empty(n_steps)
-    iz = np.empty(n_steps)
-    det = np.empty(n_steps)
+    # Raw doubles, as the arrays they become: no float object per step.
+    iz = array.array("d")
+    det = array.array("d")
     norm_drift = 0.0
     for k in range(n_steps):
-        tm = (k + 0.5) * dt
-        delta = Om * math.cos(params.omega_m * tm)
+        delta = Om * math.cos(params.omega_m * ((k + 0.5) * dt))
         # exp(-i H dt) for H = -(delta Iz + w1 Ix) = v . sigma/2
         vx, vz = -w1, -delta
         nv = math.hypot(vx, vz)
@@ -325,14 +322,17 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         # U = c*I - i*s*(ux*sigma_x + uz*sigma_z)
         a = c - 1j * s * uz
         b = -1j * s * ux
-        psi = np.array([a * psi[0] + b * psi[1],
-                        b * psi[0] + np.conj(a) * psi[1]])
-        t = (k + 1) * dt
-        times[k] = t
-        iz[k] = 0.5 * (abs(psi[0])**2 - abs(psi[1])**2)
-        det[k] = Om * math.cos(params.omega_m * t)
-        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
+        p, q = a * p + b * q, b * p + a.conjugate() * q
+        iz.append(0.5 * (abs(p)**2 - abs(q)**2))
+        det.append(Om * math.cos(params.omega_m * ((k + 1) * dt)))
+        # grouped as np.linalg.norm groups it: real parts, then imaginary
+        norm = math.sqrt((p.real * p.real + q.real * q.real)
+                         + (p.imag * p.imag + q.imag * q.imag))
+        norm_drift = max(norm_drift, abs(norm - 1.0))
 
+    times = np.arange(1, n_steps + 1) * dt
+    iz = np.asarray(iz)
+    det = np.asarray(det)
     pred = 0.5 * np.abs(det) / np.hypot(det, w1)
     mask = pred > 0.1
     if mask.any():
@@ -342,9 +342,6 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     # Fourier amplitude at omega_m over the integer number of periods.
     phase = np.exp(-1j * params.omega_m * times)
     amp = 2.0 * abs(np.sum(iz * phase)) / n_steps
-    warning = (params.excursion_warning(delta_omega)
-               if delta_omega is not None else None)
     return CAIResult(times=times, iz=iz, detuning=det,
                      following_figure=following,
-                     modulation_amplitude=amp, norm_drift=norm_drift,
-                     warning=warning)
+                     modulation_amplitude=amp, norm_drift=norm_drift)

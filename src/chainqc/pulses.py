@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ConfigError, SequenceValidationError
+from .errors import ConfigError, SequenceValidationError, finite_json_number
 from .spinsys import Propagator, SpinSystem
 
 __all__ = [
@@ -59,13 +59,16 @@ class PulseEvent:
     target: Target  # "broadband" or plane index
 
     def __post_init__(self):
-        if self.t_start < 0:
-            raise ConfigError("t_start must be non-negative")
-        if self.duration < 0:
-            raise ConfigError("duration must be non-negative")
+        for name in ("t_start", "duration"):
+            if not (math.isfinite(getattr(self, name))
+                    and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative")
         if not 0.0 < self.flip_angle <= TWO_PI:
             raise ConfigError("flip_angle must be in (0, 2*pi]")
-        if self.target != "broadband" and not isinstance(self.target, int):
+        if not math.isfinite(self.phase):
+            raise ConfigError("phase must be finite")
+        if not (self.target == "broadband"
+                or type(self.target) is int and self.target >= 0):
             raise ConfigError("target must be 'broadband' or a plane index")
 
     @property
@@ -82,6 +85,8 @@ class Sequence:
     label: str = ""
 
     def __post_init__(self):
+        if not (math.isfinite(self.cycle_time) and self.cycle_time >= 0):
+            raise ConfigError("cycle_time must be finite and non-negative")
         ordered = tuple(sorted(self.events, key=lambda e: e.t_start))
         object.__setattr__(self, "events", ordered)
         offenders = []
@@ -284,6 +289,8 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
             if b - a <= ev.duration:
                 continue
             start = min(max(ev.t_start, a, lo), b - ev.duration)
+            if start + ev.duration > b:  # b - duration rounded up
+                start = math.nextafter(start, -math.inf)
             if start < a or start < lo:
                 continue
             shift = abs(start - ev.t_start)
@@ -425,24 +432,26 @@ def sequence_to_json(seq: Sequence) -> str:
 
 def sequence_from_json(text: str) -> Sequence:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=finite_json_number,
+                         parse_constant=finite_json_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid schedule JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError("schedule JSON must be an object")
     if obj.get("schema_version") != SCHEDULE_SCHEMA_VERSION:
         raise ConfigError("unsupported schedule schema_version")
-    events = []
-    for e in obj.get("events", []):
-        target = e["target"]
-        if target != "broadband":
-            target = int(target)
-        events.append(PulseEvent(
+    try:
+        events = tuple(PulseEvent(
             t_start=float(e["t_start"]),
             duration=float(e["duration"]),
             flip_angle=float(e["flip_angle"]),
             phase=float(e["phase"]),
-            target=target,
-        ))
-    return Sequence(tuple(events), cycle_time=float(obj["cycle_time"]),
+            target=e["target"],
+        ) for e in obj.get("events", []))
+        cycle_time = float(obj["cycle_time"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed schedule: {exc!r}") from None
+    return Sequence(events, cycle_time=cycle_time,
                     label=str(obj.get("label", "")))
 
 

@@ -174,16 +174,16 @@ class QuantumState:
         if kind == "pure":
             if data.ndim != 1:
                 raise ConfigError("pure state must be a vector")
-            if abs(np.linalg.norm(data) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(data) - 1.0) <= 1e-10:
                 raise ConfigError("pure state must have unit norm")
         elif kind == "density":
             if data.ndim != 2 or data.shape[0] != data.shape[1]:
                 raise ConfigError("density operator must be square")
-            if np.max(np.abs(data - data.conj().T)) > 1e-10:
+            if not np.max(np.abs(data - data.conj().T)) <= 1e-10:
                 raise ConfigError("density operator must be Hermitian")
-            if abs(np.trace(data).real - 1.0) > 1e-10:
+            if not abs(np.trace(data).real - 1.0) <= 1e-10:
                 raise ConfigError("density operator must have unit trace")
-            if np.min(np.linalg.eigvalsh(data)) < -1e-10:
+            if not np.min(np.linalg.eigvalsh(data)) >= -1e-10:
                 raise ConfigError("density operator must be positive")
         else:
             raise ConfigError(f"unknown state kind {kind!r}")
@@ -263,7 +263,7 @@ class Propagator:
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ConfigError("propagator must be square")
         err = np.max(np.abs(U.conj().T @ U - np.eye(U.shape[0])))
-        if err > 1e-9:
+        if not err <= 1e-9:
             raise ConfigError(f"propagator not unitary (deviation {err:.2e})")
 
     @property

@@ -465,6 +465,24 @@ class TestOutputs:
         assert summary["adiabaticity"] == pytest.approx(10.0)
         assert summary["following_figure"] >= 0.99
 
+    @pytest.mark.parametrize("delta_omega", [None, 1e9, 1e4])
+    def test_readout_warning(self, tmp_path, delta_omega):
+        readout = {"n_periods": 1, "steps_per_period": 100}
+        if delta_omega is not None:
+            readout["delta_omega_rad_per_s"] = delta_omega
+        cfg = write_cfg(tmp_path, _v1(readout=readout))
+        out = tmp_path / "o"
+        assert run(["readout", "--config", cfg, "--out", str(out),
+                    "--no-meta"]) == 0
+        summary = json.loads((out / "readout_summary.json").read_text())
+        excursion = summary["excursion_rad_per_s"]
+        if delta_omega is None or excursion < 0.5 * delta_omega:
+            assert summary["warning"] is None
+        else:
+            assert summary["warning"] == (
+                f"frequency excursion {excursion:.3e} rad/s is not small "
+                f"compared to the plane splitting {delta_omega:.3e} rad/s")
+
 
 class TestDeterminism:
     def test_lattice_identical_bytes(self, tmp_path):

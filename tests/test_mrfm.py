@@ -8,7 +8,7 @@ import pytest
 
 from chainqc.constants import HBAR, KB, TWO_PI
 from chainqc.errors import ConfigError, ConvergenceError
-from chainqc import mrfm
+from chainqc import config, mrfm
 from chainqc.mrfm import CAIParams, CantileverModel, ScalabilityParams
 
 
@@ -144,6 +144,98 @@ def cai_params(adiabaticity=10.0, ratio=2.0, w1=TWO_PI * 10e3, periods=6):
     )
 
 
+def stepwise_cai_readout(params, initial="up", steps_per_period=4000):
+    """Reference CAI integrator: the state is a numpy 2-vector, rebuilt and
+    normalised-checked with np.linalg.norm at every step, and the trace is
+    filled by index."""
+    period = TWO_PI / params.omega_m
+    w1 = params.omega_1
+    Om = params.excursion
+    w_eff_max = math.hypot(w1, Om)
+    dt = min(period / steps_per_period, 0.1 / w_eff_max)
+    n_steps = int(math.ceil(params.duration / dt))
+    dt = params.duration / n_steps
+
+    d0 = Om  # Delta(0) = Omega (peak)
+    theta = math.atan2(w1, d0)  # angle of the effective field from +z
+    if initial == "up":
+        psi = np.array([math.cos(theta / 2.0), math.sin(theta / 2.0)],
+                       dtype=complex)
+    else:
+        # orthogonal (anti-aligned) eigenstate, <Iz> < 0 at t = 0
+        psi = np.array([math.sin(theta / 2.0), -math.cos(theta / 2.0)],
+                       dtype=complex)
+
+    times = np.empty(n_steps)
+    iz = np.empty(n_steps)
+    det = np.empty(n_steps)
+    norm_drift = 0.0
+    for k in range(n_steps):
+        tm = (k + 0.5) * dt
+        delta = Om * math.cos(params.omega_m * tm)
+        # exp(-i H dt) for H = -(delta Iz + w1 Ix) = v . sigma/2
+        vx, vz = -w1, -delta
+        nv = math.hypot(vx, vz)
+        th = 0.5 * nv * dt
+        c, s = math.cos(th), math.sin(th)
+        ux, uz = vx / nv, vz / nv
+        # U = c*I - i*s*(ux*sigma_x + uz*sigma_z)
+        a = c - 1j * s * uz
+        b = -1j * s * ux
+        psi = np.array([a * psi[0] + b * psi[1],
+                        b * psi[0] + np.conj(a) * psi[1]])
+        t = (k + 1) * dt
+        times[k] = t
+        iz[k] = 0.5 * (abs(psi[0])**2 - abs(psi[1])**2)
+        det[k] = Om * math.cos(params.omega_m * t)
+        norm_drift = max(norm_drift, abs(np.linalg.norm(psi) - 1.0))
+
+    pred = 0.5 * np.abs(det) / np.hypot(det, w1)
+    mask = pred > 0.1
+    if mask.any():
+        following = float(np.min(np.abs(iz[mask]) / pred[mask]))
+    else:
+        following = math.nan
+    # Fourier amplitude at omega_m over the integer number of periods.
+    phase = np.exp(-1j * params.omega_m * times)
+    amp = 2.0 * abs(np.sum(iz * phase)) / n_steps
+    return mrfm.CAIResult(times=times, iz=iz, detuning=det,
+                          following_figure=following,
+                          modulation_amplitude=amp, norm_drift=norm_drift)
+
+
+def _same_float(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+_DEFAULT_CAI = config.load_config(None).cai()
+# A short, strongly driven trace whose step is set by 0.1/w_eff_max rather
+# than by period/steps_per_period.
+_FAST = cai_params(adiabaticity=50.0, periods=1)
+assert 0.1 / math.hypot(_FAST.omega_1, _FAST.excursion) < (
+    TWO_PI / _FAST.omega_m / 100)
+
+
+@pytest.mark.parametrize("params, initial, steps_per_period", [
+    (_DEFAULT_CAI, "up", 4000),
+    (_DEFAULT_CAI, "down", 4000),
+    (replace(_DEFAULT_CAI, b1=0.0), "up", 4000),
+    (cai_params(adiabaticity=2.0), "up", 4000),
+    (cai_params(adiabaticity=20.0), "down", 4000),
+    (cai_params(periods=1), "up", 100),
+    (_FAST, "up", 100),
+], ids=["default-up", "default-down", "b1-zero", "adiabaticity-2",
+        "adiabaticity-20", "100-steps-1-period", "dt-from-w-eff"])
+def test_cai_matches_stepwise_oracle_exactly(params, initial,
+                                             steps_per_period):
+    got = mrfm.simulate_cai_readout(params, initial, steps_per_period)
+    ref = stepwise_cai_readout(params, initial, steps_per_period)
+    for name in ("times", "iz", "detuning"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    for name in ("following_figure", "modulation_amplitude", "norm_drift"):
+        assert _same_float(getattr(got, name), getattr(ref, name)), name
+
+
 class TestCAI:
     def test_adiabaticity_value(self):
         p = cai_params(adiabaticity=10.0)
@@ -186,6 +278,11 @@ class TestCAI:
         p = cai_params()
         assert p.excursion_warning(1e9) is None
         assert p.excursion_warning(p.excursion) is not None
+
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_invalid_steps_per_period(self, steps):
+        with pytest.raises(ConfigError, match="steps_per_period"):
+            mrfm.simulate_cai_readout(cai_params(), steps_per_period=steps)
 
     def test_invalid_initial(self):
         with pytest.raises(ConfigError):

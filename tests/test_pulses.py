@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from chainqc.constants import TWO_PI
 from chainqc.errors import ConfigError, SequenceValidationError
 from chainqc import lattice, pulses, spinsys
 from chainqc.pulses import (
@@ -53,6 +55,28 @@ class TestSequenceValidation:
             PulseEvent(0.0, 0.0, 0.0, PHASE_X, 0)
         with pytest.raises(ConfigError):
             PulseEvent(0.0, 0.0, math.pi, PHASE_X, "plane3")
+
+    @pytest.mark.parametrize("field", ["t_start", "duration", "phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_event_field_rejected(self, field, value):
+        args = dict(t_start=0.0, duration=0.0, flip_angle=math.pi,
+                    phase=PHASE_X, target=0)
+        args[field] = value
+        with pytest.raises(ConfigError):
+            PulseEvent(**args)
+
+    @pytest.mark.parametrize("target", [True, False, -1, 1.7])
+    def test_target_must_be_plane_index(self, target):
+        with pytest.raises(ConfigError):
+            PulseEvent(0.0, 0.0, math.pi, PHASE_X, target)
+
+    @pytest.mark.parametrize("cycle_time", [math.nan, math.inf, -1e-6])
+    def test_cycle_time_must_be_finite_non_negative(self, cycle_time):
+        with pytest.raises(ConfigError):
+            Sequence((), cycle_time=cycle_time)
+
+    def test_zero_cycle_time_valid(self):
+        assert Sequence((), cycle_time=0.0).events == ()
 
 
 class TestWahuha:
@@ -303,8 +327,122 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             pulses.sequence_from_json('{"schema_version": 99}')
 
+    @staticmethod
+    def _edited(edit):
+        obj = json.loads(pulses.sequence_to_json(pulses.wahuha(1e-6)))
+        edit(obj)
+        return json.dumps(obj)
+
+    def test_nan_t_start_rejected(self):
+        text = self._edited(lambda o: o["events"][0].update(t_start=math.nan))
+        assert "NaN" in text
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(text)
+
+    @pytest.mark.parametrize("target", [1.7, True])
+    def test_non_integer_target_rejected(self, target):
+        text = self._edited(lambda o: o["events"][0].update(target=target))
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(text)
+
+    def test_infinite_cycle_time_rejected(self):
+        text = self._edited(lambda o: o.update(cycle_time=math.inf))
+        assert "Infinity" in text
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(text)
+
+    def test_missing_phase_rejected(self):
+        text = self._edited(lambda o: o["events"][0].pop("phase"))
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(text)
+
+    def test_non_list_events_rejected(self):
+        text = self._edited(lambda o: o.update(events=5))
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(text)
+
+    def test_top_level_list_rejected(self):
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json("[]")
+
     def test_csv_rows(self):
         seq = pulses.wahuha(1e-6)
         rows = pulses.sequence_to_csv_rows(seq)
         assert rows[0][0] == "t_start_s"
         assert len(rows) == 5
+
+
+# --- properties -----------------------------------------------------------------
+
+PROPS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def sequences(draw):
+    """Valid schedules: per-target chains of zero- or finite-width pulses
+    inside one cycle, the targets mixed."""
+    cycle = draw(st.floats(1e-7, 1e-3))
+    events = []
+    cursor = {}
+    for _ in range(draw(st.integers(0, 12))):
+        target = draw(st.one_of(st.just("broadband"), st.integers(0, 3)))
+        start = cursor.get(target, 0.0) + draw(st.floats(0.0, 0.2)) * cycle
+        width = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2))) * cycle
+        if start + width > cycle:
+            break
+        events.append(PulseEvent(
+            start, width, draw(st.floats(0.0, TWO_PI, exclude_min=True)),
+            draw(st.floats(-10.0, 10.0)), target))
+        cursor[target] = start + width
+    return Sequence(tuple(events), cycle_time=cycle, label=draw(st.text()))
+
+
+@PROPS
+@given(sequences())
+def test_json_round_trip(seq):
+    text = pulses.sequence_to_json(seq)
+    back = pulses.sequence_from_json(text)
+    assert back == seq
+    assert pulses.sequence_to_json(back) == text
+
+
+def _free_windows(bb_events, total):
+    t, out = 0.0, []
+    for e in bb_events:
+        out.append((t, e.t_start))
+        t = e.t_end
+    return out + [(t, total)]
+
+
+@PROPS
+@given(tau=st.floats(0.5e-6, 2e-6), bb_frac=st.floats(0.0, 0.9),
+       n=st.integers(1, 6), slot=st.floats(1e-6, 2e-5),
+       sel_frac=st.floats(0.0, 0.25), finite=st.booleans())
+# A pulse placed at the end of its window, where b - width rounds up.
+@example(tau=2e-6, bb_frac=0.828125, n=2, slot=1e-6,
+         sel_frac=0.10701658831953378, finite=True)
+def test_interleave_invariants(tau, bb_frac, n, slot, sel_frac, finite):
+    bb = pulses.wahuha(tau, bb_frac * tau if finite else 0.0)
+    sel = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(n), slot,
+                                     sel_frac * slot if finite else 0.0)
+    try:
+        merged = pulses.interleave(bb, sel)
+    except SequenceValidationError as exc:
+        assert len(exc.offenders) >= 1
+        return
+    reps = round(merged.cycle_time / bb.cycle_time)
+    shifted = [e.t_start + r * bb.cycle_time
+               for r in range(reps) for e in bb.events]
+    bb_out = [e for e in merged.events if e.target == "broadband"]
+    assert [e.t_start for e in bb_out] == sorted(shifted)
+    assert len(merged.events) == reps * len(bb.events) + len(sel.events)
+    windows = _free_windows(bb_out, merged.cycle_time)
+    for plane in range(n):
+        before = [e for e in sel.events if e.target == plane]
+        after = [e for e in merged.events if e.target == plane]
+        assert [(e.duration, e.flip_angle, e.phase) for e in after] == [
+            (e.duration, e.flip_angle, e.phase) for e in before]
+        for prev, e in zip(after, after[1:]):
+            assert prev.t_end <= e.t_start
+        for e in after:
+            assert any(a <= e.t_start and e.t_end <= b for a, b in windows)

@@ -130,6 +130,14 @@ class TestQuantumState:
         with pytest.raises(ConfigError):
             QuantumState.pure(np.array([1.0, 1.0]))
 
+    def test_pure_nan_rejected(self):
+        with pytest.raises(ConfigError):
+            QuantumState.pure([np.nan, 0.0])
+
+    def test_density_nan_rejected(self):
+        with pytest.raises(ConfigError):
+            QuantumState.density(np.full((2, 2), np.nan))
+
     def test_density_invariants(self):
         with pytest.raises(ConfigError):
             QuantumState.density(np.array([[0.5, 0.6], [0.6, 0.5]]))
@@ -244,6 +252,10 @@ class TestEvolution:
     def test_propagator_unitary_check(self):
         with pytest.raises(ConfigError):
             Propagator(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
+
+    def test_propagator_rejects_nan(self):
+        with pytest.raises(ConfigError):
+            Propagator(np.full((2, 2), np.nan))
 
 
 class TestFidelities:
