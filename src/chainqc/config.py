@@ -13,10 +13,9 @@ import copy
 import dataclasses
 import json
 import math
-import sys
 
 from .constants import TWO_PI
-from .errors import ConfigError, finite_json_number
+from .errors import ConfigError, finite_json_number, is_number
 from .lattice import ChainLattice, get_preset
 from .magnet import PrismMagnet
 from .mrfm import CAIParams, CantileverModel, ScalabilityParams
@@ -51,22 +50,16 @@ def _rule(test, what: str):
     return check
 
 
-def _is_number(x) -> bool:
-    """A finite float or an integer within float range (true is neither)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and abs(x) <= sys.float_info.max)
-
-
-_NUMBER = _rule(_is_number, "a number")
-_POS = _rule(lambda x: _is_number(x) and x > 0, "a positive number")
-_NONNEG = _rule(lambda x: _is_number(x) and x >= 0, "a non-negative number")
+_NUMBER = _rule(is_number, "a number")
+_POS = _rule(lambda x: is_number(x) and x > 0, "a positive number")
+_NONNEG = _rule(lambda x: is_number(x) and x >= 0, "a non-negative number")
 _BOOL = _rule(lambda x: type(x) is bool, "true or false")
 _STR = _rule(lambda x: type(x) is str, "a string")
 
 
 def _int(lo: int, hi: float = math.inf):
     """A JSON integer in [lo, hi]; 3.0 and true are not integers."""
-    return _rule(lambda x: type(x) is int and _is_number(x) and lo <= x <= hi,
+    return _rule(lambda x: type(x) is int and is_number(x) and lo <= x <= hi,
                  f"an integer in [{lo}, {hi}]")
 
 
@@ -279,6 +272,6 @@ def load_config(path: str | None) -> RunConfig:
                             parse_constant=finite_json_number)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past 4300 digits
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return parse_config(obj)

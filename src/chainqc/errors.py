@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the JSON number hook
-that raises one."""
+"""Exception types shared across the package, and the JSON number rules
+that both loaders use."""
 
 import math
+import sys
 
 
 class ChainqcError(Exception):
@@ -13,7 +14,7 @@ class ConfigError(ChainqcError):
 
 
 class ConvergenceError(ChainqcError):
-    """A lattice sum or root bracket failed to converge (CLI exit code 3)."""
+    """A root bracket or a field evaluation failed (CLI exit code 3)."""
 
 
 class SequenceValidationError(ChainqcError):
@@ -33,3 +34,9 @@ def finite_json_number(text: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"non-finite number {text}")
     return x
+
+
+def is_number(x) -> bool:
+    """A finite float or an integer within float range (true is neither)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import HBAR, MU0_OVER_4PI, TWO_PI
-from .errors import ConfigError, ConvergenceError
+from .errors import ConfigError
 
 __all__ = [
     "ChainLattice",
@@ -32,9 +32,11 @@ __all__ = [
     "chain_sites_within",
 ]
 
-# Cap on cutoff doublings in the sigma sum; b^2 decays as lambda^-6 so the
-# sum converges long before this.
-MAX_DOUBLINGS = 12
+# Cap on the coefficient grid of chain_sites_within; both presets converge
+# within it for rel_tol >= 1e-10.  It also bounds the sigma sum's doublings:
+# the basis's smallest singular value is at most the chain spacing, so any
+# lattice reaches the cap by the 9th.
+MAX_GRID_POINTS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -182,6 +184,10 @@ def chain_sites_within(lat: ChainLattice, radius: float,
         nmax = 0
     else:
         nmax = int(math.ceil(radius / smin)) + 1
+    if (2 * nmax + 1) ** 2 > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"lattice sum needs a {(2 * nmax + 1) ** 2}-point coefficient "
+            f"grid, past the cap of {MAX_GRID_POINTS}")
     rng = np.arange(-nmax, nmax + 1)
     ii, jj = np.meshgrid(rng, rng, indexing="ij")
     coeffs = np.stack([ii.ravel(), jj.ravel()], axis=1)
@@ -202,7 +208,8 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
 
     Sums b(lambda)^2 over all transverse lattice sites, expanding the cutoff
     radius from 4x the nearest-chain spacing by successive doublings until
-    the ratio changes by less than ``rel_tol``.
+    the ratio changes by less than ``rel_tol``; ConfigError once the site
+    grid would pass MAX_GRID_POINTS.
 
     ``include_lower_plane`` additionally counts the copies in plane i-1
     (sensitivity study; the baseline sum covers one plane only).
@@ -213,7 +220,7 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
     radius = 4.0 * spacing
     prev = None
     trace = []
-    for _ in range(MAX_DOUBLINGS + 1):
+    while True:
         pts = chain_sites_within(lat, radius)
         lam = np.linalg.norm(pts, axis=1) / lat.a
         total = float(np.sum(b_coefficient(lam) ** 2))
@@ -234,7 +241,3 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
                 )
         prev = ratio
         radius *= 2.0
-    raise ConvergenceError(
-        f"sigma/delta sum did not converge to rel_tol={rel_tol} within "
-        f"{MAX_DOUBLINGS} cutoff doublings"
-    )

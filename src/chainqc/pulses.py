@@ -18,7 +18,8 @@ from typing import Union
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import ConfigError, SequenceValidationError, finite_json_number
+from .errors import (ConfigError, SequenceValidationError, finite_json_number,
+                     is_number)
 from .spinsys import Propagator, SpinSystem
 
 __all__ = [
@@ -101,6 +102,22 @@ class Sequence:
         if offenders:
             raise SequenceValidationError(
                 "sequence events overlap or run past cycle_time", offenders)
+
+    def segments(self):
+        """(t0, t1, event) pieces tiling the timeline in time order, event
+        None for a free window.  An event that starts before the previous
+        one ends, on any target, raises SequenceValidationError."""
+        t = 0.0
+        for ev in self.events:
+            if ev.t_start < t:
+                raise SequenceValidationError(
+                    "events overlap on the schedule timeline", [ev])
+            if ev.t_start > t:
+                yield t, ev.t_start, None
+            yield ev.t_start, ev.t_end, ev
+            t = ev.t_end
+        if self.cycle_time > t:
+            yield t, self.cycle_time, None
 
 
 @dataclass(frozen=True)
@@ -242,19 +259,6 @@ def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
                           degraded_pairs=tuple(degraded))
 
 
-def _free_windows(events, total: float):
-    """Complement of the pulse intervals in [0, total]."""
-    windows = []
-    t = 0.0
-    for ev in sorted(events, key=lambda e: e.t_start):
-        if ev.t_start > t:
-            windows.append((t, ev.t_start))
-        t = max(t, ev.t_end)
-    if total > t:
-        windows.append((t, total))
-    return windows
-
-
 def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
     """Merge a selective schedule into repetitions of a broadband cycle.
 
@@ -269,11 +273,10 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
     span = max(broadband.cycle_time, selective.cycle_time)
     reps = max(1, math.ceil(span / broadband.cycle_time - 1e-12))
     total = reps * broadband.cycle_time
-    bb_events = [
+    bb = Sequence(tuple(
         replace(e, t_start=e.t_start + r * broadband.cycle_time)
-        for r in range(reps) for e in broadband.events
-    ]
-    windows = _free_windows(bb_events, total)
+        for r in range(reps) for e in broadband.events), total)
+    windows = [(a, b) for a, b, ev in bb.segments() if ev is None]
     min_window = min((b - a for a, b in windows), default=0.0)
     offenders = [ev for ev in selective.events if ev.duration >= min_window]
     if offenders:
@@ -306,7 +309,7 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
         raise SequenceValidationError(
             "selective pulses do not fit the broadband free windows",
             offenders)
-    return Sequence(tuple(bb_events) + tuple(placed), cycle_time=total,
+    return Sequence(bb.events + tuple(placed), cycle_time=total,
                     label=f"{broadband.label}+{selective.label}")
 
 
@@ -430,29 +433,40 @@ def sequence_to_json(seq: Sequence) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _json_number(x) -> float:
+    if not is_number(x):
+        raise ConfigError(f"schedule number expected, got {x!r}")
+    return float(x)
+
+
 def sequence_from_json(text: str) -> Sequence:
+    """Inverse of sequence_to_json; anything it would not write is a
+    ConfigError."""
     try:
         obj = json.loads(text, parse_float=finite_json_number,
                          parse_constant=finite_json_number)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past 4300 digits
         raise ConfigError(f"invalid schedule JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError("schedule JSON must be an object")
-    if obj.get("schema_version") != SCHEDULE_SCHEMA_VERSION:
+    version = obj.get("schema_version")
+    if type(version) is not int or version != SCHEDULE_SCHEMA_VERSION:
         raise ConfigError("unsupported schedule schema_version")
+    label = obj.get("label", "")
+    if type(label) is not str:
+        raise ConfigError("schedule label must be a string")
     try:
         events = tuple(PulseEvent(
-            t_start=float(e["t_start"]),
-            duration=float(e["duration"]),
-            flip_angle=float(e["flip_angle"]),
-            phase=float(e["phase"]),
+            t_start=_json_number(e["t_start"]),
+            duration=_json_number(e["duration"]),
+            flip_angle=_json_number(e["flip_angle"]),
+            phase=_json_number(e["phase"]),
             target=e["target"],
         ) for e in obj.get("events", []))
-        cycle_time = float(obj["cycle_time"])
-    except (KeyError, TypeError, ValueError) as exc:
+        cycle_time = _json_number(obj["cycle_time"])
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed schedule: {exc!r}") from None
-    return Sequence(events, cycle_time=cycle_time,
-                    label=str(obj.get("label", "")))
+    return Sequence(events, cycle_time=cycle_time, label=label)
 
 
 def sequence_to_csv_rows(seq: Sequence) -> list[list]:

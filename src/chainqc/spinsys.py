@@ -35,7 +35,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .constants import HBAR, MU0_OVER_4PI
-from .errors import ConfigError, SequenceValidationError
+from .errors import ConfigError
 from .lattice import ChainLattice, splitting
 
 __all__ = [
@@ -396,37 +396,23 @@ def _sampled_pulse_step(sys: SpinSystem, H: np.ndarray, event):
 
 
 def _walk(sys: SpinSystem, seq, mode: str):
-    """Yield (time, step) pieces covering the sequence timeline.
+    """Yield (end time, step) for each piece of seq.segments().
 
     step(X) returns U_segment @ X for X of shape (dim,) or (dim, m).
     """
     if mode not in ("ideal", "sampled"):
         raise ConfigError(f"unknown mode {mode!r}")
-    events = list(seq.events)
-    if mode == "ideal" and any(e.duration > 0 for e in events):
+    if mode == "ideal" and any(e.duration > 0 for e in seq.events):
         raise ConfigError("ideal mode takes only zero-width pulses; "
                           "finite widths need mode='sampled'")
-    if mode == "sampled":
-        intervals = [(e.t_start, e.t_end) for e in events if e.duration > 0]
-        for (a0, a1), (b0, b1) in zip(intervals, intervals[1:]):
-            if b0 < a1:
-                raise SequenceValidationError(
-                    "overlapping finite-duration events in sampled mode",
-                    offenders=[(a0, a1), (b0, b1)])
-        H = sys.hamiltonian()
-    t = 0.0
-    for ev in events:
-        gap = ev.t_start - t
-        if gap < -1e-15:
-            raise SequenceValidationError("events out of order", [ev])
-        if gap > 0:
-            yield ev.t_start, _free_step(sys, gap)
-        step = (_pulse_step(sys, ev) if ev.duration == 0.0
-                else _sampled_pulse_step(sys, H, ev))
-        yield ev.t_start + ev.duration, step
-        t = ev.t_start + ev.duration
-    if seq.cycle_time > t:
-        yield seq.cycle_time, _free_step(sys, seq.cycle_time - t)
+    H = sys.hamiltonian() if mode == "sampled" else None
+    for t0, t1, ev in seq.segments():
+        if ev is None:
+            yield t1, _free_step(sys, t1 - t0)
+        elif ev.duration == 0.0:
+            yield t1, _pulse_step(sys, ev)
+        else:
+            yield t1, _sampled_pulse_step(sys, H, ev)
 
 
 def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
@@ -512,14 +498,10 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
     H = sys.hamiltonian()
     Urf = np.eye(sys.dim, dtype=complex)
     Hbar = np.zeros_like(Urf)
-    t = 0.0
-    for ev in seq.events:
-        tau = ev.t_start - t
-        if tau > 0:
-            Hbar += tau * (Urf.conj().T @ H @ Urf)
-        Urf = _pulse_step(sys, ev)(Urf)
-        t = ev.t_start
-    if T > t:
-        Hbar += (T - t) * (Urf.conj().T @ H @ Urf)
+    for t0, t1, ev in seq.segments():
+        if ev is None:
+            Hbar += (t1 - t0) * (Urf.conj().T @ H @ Urf)
+        else:
+            Urf = _pulse_step(sys, ev)(Urf)
     Hbar /= T
     return 0.5 * (Hbar + Hbar.conj().T)

@@ -344,6 +344,25 @@ class TestExitCodes:
         assert f"config invalid at {section}/{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oblique_basis_hits_grid_cap_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, _v1(lattice={"transverse_basis_m": [
+            [9.367e-10, 0.0], [9.367e-10, 1e-16]]}))
+        out = tmp_path / "o"
+        assert run(["lattice", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "coefficient grid" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"schema_version": 1, "lattice": {"rel_tol": '
+                        + "9" * 5000 + "}}", encoding="utf-8")
+        out = tmp_path / "o"
+        assert run(["lattice", "--config", str(path),
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not out.exists()
+
     def test_scalability_bracket_failure_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,

@@ -107,6 +107,10 @@ class TestChainSites:
         norms = np.linalg.norm(pts, axis=1)
         assert np.all(np.diff(norms) >= -1e-18)
 
+    def test_grid_cap(self):
+        with pytest.raises(ConfigError, match="coefficient grid"):
+            lattice.chain_sites_within(FAP, 1e-3)
+
     def test_origin_flag(self):
         a = CUBIC.min_transverse_spacing
         with_o = lattice.chain_sites_within(CUBIC, a, include_origin=True)

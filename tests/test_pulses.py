@@ -365,6 +365,28 @@ class TestSerialization:
         with pytest.raises(ConfigError):
             pulses.sequence_from_json("[]")
 
+    @pytest.mark.parametrize("edit", [
+        lambda o: o["events"][0].update(flip_angle="1.5707963267948966"),
+        lambda o: o["events"][0].update(duration="0"),
+        lambda o: o.update(cycle_time="6e-6"),
+        lambda o: o["events"][0].update(t_start=True),
+        lambda o: o.update(cycle_time=int("9" * 400)),
+        lambda o: o.update(schema_version=True),
+        lambda o: o.update(schema_version=1.0),
+        lambda o: o.update(label={"name": "wahuha"}),
+    ], ids=["str-flip", "str-duration", "str-cycle", "bool-t_start",
+            "400-digit-cycle", "bool-version", "float-version",
+            "object-label"])
+    def test_only_json_numbers_and_typed_fields(self, edit):
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(self._edited(edit))
+
+    def test_integer_past_digit_limit_rejected(self):
+        text = self._edited(lambda o: o.update(cycle_time=0)).replace(
+            '"cycle_time": 0', '"cycle_time": ' + "9" * 5000)
+        with pytest.raises(ConfigError):
+            pulses.sequence_from_json(text)
+
     def test_csv_rows(self):
         seq = pulses.wahuha(1e-6)
         rows = pulses.sequence_to_csv_rows(seq)
@@ -404,6 +426,44 @@ def test_json_round_trip(seq):
     back = pulses.sequence_from_json(text)
     assert back == seq
     assert pulses.sequence_to_json(back) == text
+
+
+@PROPS
+@given(sequences())
+def test_segments_tile_the_timeline(seq):
+    try:
+        segs = list(seq.segments())
+    except SequenceValidationError as exc:
+        (bad,) = exc.offenders
+        i = next(i for i, e in enumerate(seq.events) if e is bad)
+        assert i > 0 and bad.t_start < seq.events[i - 1].t_end
+        return
+    assert segs[0][0] == 0.0
+    for (_, a1, _), (b0, _, _) in zip(segs, segs[1:]):
+        assert b0 == a1
+    pulses_seen = [ev for _, _, ev in segs if ev is not None]
+    assert len(pulses_seen) == len(seq.events)
+    assert all(a is b for a, b in zip(pulses_seen, seq.events))
+    for t0, t1, ev in segs:
+        if ev is None:
+            assert t1 > t0
+        else:
+            assert (t0, t1) == (ev.t_start, ev.t_end)
+    assert segs[-1][1] == max([seq.cycle_time]
+                              + [e.t_end for e in seq.events])
+
+
+@pytest.mark.parametrize("t_start", [0.5e-6, math.nextafter(1e-6, 0.0)],
+                         ids=["inside", "one-ulp-before-end"])
+def test_sampled_walk_rejects_pulse_inside_finite_pulse(t_start):
+    sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
+    seq = Sequence((PulseEvent(0.0, 1e-6, math.pi, PHASE_X, 0),
+                    PulseEvent(t_start, 0.0, math.pi, PHASE_X, 1)),
+                   cycle_time=2e-6)
+    with pytest.raises(SequenceValidationError):
+        spinsys.propagator(sys, seq, mode="sampled")
+    with pytest.raises(SequenceValidationError):
+        spinsys.evolve(sys, seq, QuantumState.all_up(2), mode="sampled")
 
 
 def _free_windows(bb_events, total):
