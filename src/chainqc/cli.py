@@ -209,9 +209,6 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, verbose: bool,
     if recouple_pair is None and "recouple" in s:
         recouple_pair = tuple(s["recouple"])
     merged, m, degraded = _build_schedule(s, recouple_pair)
-    n = s["n_planes"]
-    scales = [[pulses.effective_coupling_scale(m, i, j) if i != j else 1.0
-               for j in range(n)] for i in range(n)]
     em.table("schedule_timeline",
              ["t_start_s", "duration_s", "flip_angle_rad", "phase_rad",
               "target"],
@@ -220,15 +217,15 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, verbose: bool,
     (em.out).mkdir(parents=True, exist_ok=True)
     em.document("schedule_validation", {
         "valid": True,
-        "n_planes": n,
+        "n_planes": m.n,
         "hadamard_order": m.k,
         "cycle_time_s": merged.cycle_time,
         "n_events": len(merged.events),
-        "effective_coupling_scales": scales,
+        "effective_coupling_scales": m.scales.tolist(),
         "recoupled_pair": list(recouple_pair) if recouple_pair else None,
         "degraded_pairs": [[i, j, sc] for i, j, sc in degraded],
         "cycle_time_model_s": pulses.cycle_time_model(
-            n, s["L"], cfg.section("scalability")["delta_omega_rad_per_s"]),
+            m.n, s["L"], cfg.scalability().delta_omega),
     })
     sched_path = em.out / "schedule.json"
     sched_path.write_text(pulses.sequence_to_json(merged), encoding="utf-8")

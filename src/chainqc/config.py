@@ -30,6 +30,7 @@ CONFIG_SCHEMA_VERSION = 1
 MAX_PLANE_SEPARATION = 10_000      # lattice rows
 MAX_MAGNET_PLANES = 10_000         # splitting-table rows
 MAX_HOMOGENEITY_SAMPLES = 1001     # per side of the field grid
+MAX_SEQUENCE_PLANES = 64           # Hadamard rows of a schedule
 
 # The config table: every key appears once, as ``key: (check, default)``, and
 # a nested dict is a section.  A check takes (value, path) and returns the
@@ -121,7 +122,7 @@ _SPEC = {
         "schedule": (_enum("decoupling", "cnot"), "decoupling"),
     },
     "sequence": {
-        "n_planes": (_POSINT, 3),
+        "n_planes": (_int(1, MAX_SEQUENCE_PLANES), 3),
         "tau_s": (_POS, 1e-6),
         "slot_s": (_POS, 6e-6),
         "pulse_width_s": (_NONNEG, 0.0),
@@ -138,7 +139,6 @@ _SPEC = {
         "gamma_rad_per_s_T": (_POS, _GAMMA_F),
         "T2_0_s": (_POS, 0.1),
         "L": (_POS, 16.0),
-        "delta_omega_rad_per_s": (_POS, _GAMMA_F * 3.442e-10 * 1.4e6),
         "force_threshold_N_per_sqrt_Hz": (_POS, 5.6e-18),
         "bandwidth_Hz": (_POS, 1.0),
         "n_grid": (_array(_POSINT, 1), list(range(2, 31))),
@@ -226,7 +226,8 @@ class RunConfig:
             gamma=s["gamma_rad_per_s_T"],
             T2_0=s["T2_0_s"],
             L=s["L"],
-            delta_omega=s["delta_omega_rad_per_s"],
+            delta_omega=(s["gamma_rad_per_s_T"] * self.lattice().a
+                         * s["grad_T_per_m"]),  # the plane splitting
             force_threshold=s["force_threshold_N_per_sqrt_Hz"],
             bandwidth=s["bandwidth_Hz"],
         )

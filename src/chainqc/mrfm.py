@@ -74,8 +74,8 @@ class ScalabilityParams:
     def __post_init__(self):
         for name in ("B0", "temperature", "N", "grad", "gamma", "T2_0",
                      "L", "delta_omega", "force_threshold", "bandwidth"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if not self.n >= 1:
             raise ConfigError("n must be at least 1")
 

@@ -10,6 +10,7 @@ the scalability analysis.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -38,6 +39,7 @@ __all__ = [
     "sequence_to_json",
     "sequence_from_json",
     "sequence_to_csv_rows",
+    "MAX_SCHEDULE_EVENTS",
 ]
 
 # Phase conventions (rad): 0 = x, pi/2 = y, pi = -x, 3*pi/2 = -y.
@@ -47,6 +49,10 @@ PHASE_MX = math.pi
 PHASE_MY = 1.5 * math.pi
 
 Target = Union[str, int]
+
+# Events of one interleaved schedule; `interleave`'s window scan keeps a
+# 64-plane `schedule` at this cap to about a second.
+MAX_SCHEDULE_EVENTS = 2560
 
 
 @dataclass(frozen=True)
@@ -127,9 +133,8 @@ class SignMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = len(self.rows[0]) if self.rows else 0
         for row in self.rows:
-            if len(row) != k:
+            if len(row) != self.k:
                 raise ConfigError("ragged sign matrix")
             if any(s not in (-1, 1) for s in row):
                 raise ConfigError("sign matrix entries must be +-1")
@@ -142,14 +147,15 @@ class SignMatrix:
     def k(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.rows, dtype=int)
+    @functools.cached_property
+    def scales(self) -> np.ndarray:
+        """(n, n) Gram matrix row_i . row_j / k: the fraction of the zz
+        coupling between planes i and j surviving the schedule."""
+        a = np.array(self.rows, dtype=int).reshape(self.n, self.k)
+        return a @ a.T / self.k
 
     def rows_orthogonal(self) -> bool:
-        a = self.as_array()
-        g = a @ a.T
-        off = g - np.diag(np.diag(g))
-        return bool(np.all(off == 0))
+        return bool(np.array_equal(self.scales, np.eye(self.n)))
 
 
 @dataclass(frozen=True)
@@ -208,20 +214,14 @@ def decoupling_schedule(m: SignMatrix, slot: float,
     if pi_width < 0 or pi_width > slot / 4:
         raise ConfigError("pi_width must satisfy 0 <= width <= slot/4")
     k = m.k
+    # Sign changes along each row, padded with the +1 start and end frames.
+    a = np.array(m.rows, dtype=int).reshape(m.n, k)
+    flips = np.diff(np.pad(a, ((0, 0), (1, 1)), constant_values=1))
     events = []
-    for plane, row in enumerate(m.rows):
-        frame = 1
-        for col in range(k):
-            if row[col] != frame:
-                t = col * slot
-                t_start = max(0.0, t - pi_width / 2)
-                events.append(PulseEvent(t_start, pi_width, math.pi,
-                                         PHASE_X, plane))
-                frame = row[col]
-        if frame == -1:
-            t_start = k * slot - pi_width
-            events.append(PulseEvent(t_start, pi_width, math.pi,
-                                     PHASE_X, plane))
+    for plane, col in np.argwhere(flips).tolist():
+        t = col * slot
+        t_start = t - pi_width if col == k else max(0.0, t - pi_width / 2)
+        events.append(PulseEvent(t_start, pi_width, math.pi, PHASE_X, plane))
     return Sequence(tuple(events), cycle_time=k * slot,
                     label=f"hadamard-decoupling-k{k}")
 
@@ -230,8 +230,7 @@ def effective_coupling_scale(m: SignMatrix, i: int, j: int) -> float:
     """Fraction of the zz coupling between planes i and j surviving the schedule."""
     if i == j:
         raise ConfigError("distinct planes required")
-    a = m.as_array()
-    return float(np.dot(a[i], a[j])) / m.k
+    return float(m.scales[i, j])
 
 
 def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
@@ -247,16 +246,10 @@ def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
     rows = list(m.rows)
     rows[j] = rows[i]
     out = SignMatrix(tuple(rows))
-    degraded = []
-    for p in range(out.n):
-        for q in range(p + 1, out.n):
-            if (p, q) == (min(i, j), max(i, j)):
-                continue
-            s = effective_coupling_scale(out, p, q)
-            if s != 0.0:
-                degraded.append((p, q, s))
-    return RecoupleResult(matrix=out, pair=(i, j),
-                          degraded_pairs=tuple(degraded))
+    pairs = np.argwhere(np.triu(out.scales, 1)).tolist()
+    degraded = tuple((p, q, float(out.scales[p, q])) for p, q in pairs
+                     if (p, q) != (min(i, j), max(i, j)))
+    return RecoupleResult(matrix=out, pair=(i, j), degraded_pairs=degraded)
 
 
 def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
@@ -266,12 +259,16 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
     each selective pulse is placed inside the nearest free-evolution window
     of the broadband timeline (shifted minimally if it straddles a broadband
     pulse).  Raises SequenceValidationError listing every selective event
-    that cannot fit.
+    that cannot fit, and ConfigError past MAX_SCHEDULE_EVENTS events.
     """
     if broadband.cycle_time <= 0:
         raise ConfigError("broadband cycle_time must be positive")
     span = max(broadband.cycle_time, selective.cycle_time)
     reps = max(1, math.ceil(span / broadband.cycle_time - 1e-12))
+    n = reps * len(broadband.events) + len(selective.events)
+    if n > MAX_SCHEDULE_EVENTS:
+        raise ConfigError(f"interleaved schedule of {n} events exceeds "
+                          f"the cap of {MAX_SCHEDULE_EVENTS}")
     total = reps * broadband.cycle_time
     bb = Sequence(tuple(
         replace(e, t_start=e.t_start + r * broadband.cycle_time)
@@ -289,8 +286,6 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
         lo = last_end.get(ev.target, 0.0)
         best = None
         for a, b in windows:
-            if b - a <= ev.duration:
-                continue
             start = min(max(ev.t_start, a, lo), b - ev.duration)
             if start + ev.duration > b:  # b - duration rounded up
                 start = math.nextafter(start, -math.inf)

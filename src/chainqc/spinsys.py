@@ -280,6 +280,8 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
     same-plane pairs keep the full dipolar form (optionally dropped via
     ``include_same_plane`` to isolate cross-chain zz effects).
     """
+    if lat.phi != 0:  # the coefficients below take the field along the chains
+        raise ConfigError(f"build_system needs phi = 0, got {lat.phi!r}")
     positions = [tuple(float(c) for c in p) for p in chain_positions]
     if len(set(positions)) != len(positions):
         raise ConfigError("duplicate chain positions")
@@ -369,6 +371,8 @@ def _sampled_pulse_step(sys: SpinSystem, H: np.ndarray, event):
     one eigendecomposition per pulse and diagonal phases around it.
     """
     w1 = event.flip_angle / event.duration
+    if event.target != "broadband":
+        sys.plane_spins(event.target)  # ConfigError when out of range
     wd = 0.0 if event.target == "broadband" else sys.offsets[event.target]
     max_off = max(sys.offsets) - min(sys.offsets)
     dt = event.duration / 10.0

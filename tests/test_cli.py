@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainqc import cli, config, lattice, magnet, mrfm
+from chainqc import cli, config, lattice, magnet, mrfm, pulses
 from chainqc.errors import ConfigError
 
 
@@ -71,6 +71,8 @@ _REJECTED = [
     (_v1(scalability={"T2_grid_s": 0.1}), "scalability/T2_grid_s"),
     (_v1(scalability={"T2_grid_s": [0.1, 0]}), "scalability/T2_grid_s/1"),
     (_v1(scalability={"n_grid": [2, 3.0]}), "scalability/n_grid/1"),
+    # derived from gamma, a and the gradient since it stopped being a key
+    (_v1(scalability={"delta_omega_rad_per_s": 1e5}), "scalability"),
 ]
 
 # Every key of the table, for the fuzz test: sections, keys with defaults,
@@ -334,6 +336,7 @@ class TestExitCodes:
         ("magnet", "magnet", "n_planes", config.MAX_MAGNET_PLANES),
         ("magnet", "magnet", "homogeneity_samples",
          config.MAX_HOMOGENEITY_SAMPLES),
+        ("schedule", "sequence", "n_planes", config.MAX_SEQUENCE_PLANES),
     ])
     def test_size_key_above_cap_exits_2(self, tmp_path, capsys, command,
                                         section, key, cap):
@@ -342,6 +345,37 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"config invalid at {section}/{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seq", [
+        {"n_planes": 100000},   # the Sylvester block alone needs 2 GiB
+        {"n_planes": 256},      # minutes of window scanning
+        {"tau_s": 1e-12},       # 4e6 WAHUHA repetitions
+        {"n_planes": 64, "tau_s": 4.9e-7},  # 12 events past the cap
+    ])
+    def test_unbounded_schedule_exits_2(self, tmp_path, capsys, seq):
+        cfg = write_cfg(tmp_path, _v1(sequence=seq))
+        out = tmp_path / "o"
+        assert run(["schedule", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_schedule_at_both_caps_exits_0(self, tmp_path):
+        # 64 planes and 128 WAHUHA cycles: 2048 + 512 events
+        cfg = write_cfg(tmp_path, _v1(sequence={
+            "n_planes": config.MAX_SEQUENCE_PLANES, "tau_s": 5e-7}))
+        out = tmp_path / "o"
+        assert run(["schedule", "--config", cfg, "--out", str(out),
+                    "--no-meta"]) == 0
+        rep = json.loads((out / "schedule_validation.json").read_text())
+        assert rep["n_events"] == pulses.MAX_SCHEDULE_EVENTS
+
+    def test_simulate_oblique_field_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, _v1(lattice={"phi_rad": 0.9553}))
+        out = tmp_path / "o"
+        assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert "phi" in capsys.readouterr().err
         assert not out.exists()
 
     def test_oblique_basis_hits_grid_cap_exits_2(self, tmp_path, capsys):
@@ -476,6 +510,19 @@ class TestOutputs:
         row10 = lines[1].split(",")
         assert float(row10[1]) == pytest.approx(1.61, rel=0.01)
         assert float(row10[2]) == pytest.approx(121.1, rel=0.01)
+
+    def test_gate_budget_follows_gradient(self, tmp_path):
+        def summary(grad):
+            cfg = write_cfg(tmp_path, _v1(scalability={"grad_T_per_m": grad}))
+            out = tmp_path / f"o{grad:g}"
+            assert run(["scalability", "--config", cfg, "--out", str(out),
+                        "--no-meta"]) == 0
+            return json.loads((out / "scalability_summary.json").read_text())
+        base, doubled = summary(1.4e6), summary(2.8e6)
+        assert doubled["gate_budget"] == pytest.approx(
+            2 * base["gate_budget"], rel=1e-15)
+        assert doubled["cycle_time_s"] == pytest.approx(
+            base["cycle_time_s"] / 2, rel=1e-15)
 
     def test_readout_summary(self, tmp_path):
         out = tmp_path / "o"

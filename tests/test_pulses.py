@@ -126,6 +126,8 @@ class TestHadamard:
     def test_rows_orthogonal(self):
         for n in (2, 3, 4, 5, 8):
             assert pulses.hadamard_sign_matrix(n).rows_orthogonal()
+        m = pulses.hadamard_sign_matrix(4)
+        assert not pulses.recouple(m, (0, 3)).matrix.rows_orthogonal()
 
     def test_effective_scale(self):
         m = pulses.hadamard_sign_matrix(4)
@@ -506,3 +508,75 @@ def test_interleave_invariants(tau, bb_frac, n, slot, sel_frac, finite):
             assert prev.t_end <= e.t_start
         for e in after:
             assert any(a <= e.t_start and e.t_end <= b for a, b in windows)
+
+
+# --- sign-matrix references -------------------------------------------------------
+# The per-pair code that SignMatrix.scales and the flip table replaced, kept
+# as oracles: one dot product per pair, a scan over every spectator pair, and
+# a walk of each row's frame column by column.
+
+def reference_scale(m, i, j):
+    a = np.array(m.rows, dtype=int)
+    return float(np.dot(a[i], a[j])) / m.k
+
+
+def reference_degraded(m, pair):
+    i, j = pair
+    degraded = []
+    for p in range(m.n):
+        for q in range(p + 1, m.n):
+            if (p, q) == (min(i, j), max(i, j)):
+                continue
+            s = reference_scale(m, p, q)
+            if s != 0.0:
+                degraded.append((p, q, s))
+    return tuple(degraded)
+
+
+def reference_decoupling_events(m, slot, pi_width):
+    events = []
+    for plane, row in enumerate(m.rows):
+        frame = 1
+        for col in range(m.k):
+            if row[col] != frame:
+                t_start = max(0.0, col * slot - pi_width / 2)
+                events.append((t_start, pi_width, math.pi, PHASE_X, plane))
+                frame = row[col]
+        if frame == -1:
+            events.append((m.k * slot - pi_width, pi_width, math.pi,
+                           PHASE_X, plane))
+    return sorted(events, key=lambda e: e[0])
+
+
+@st.composite
+def sign_matrices(draw):
+    n, k = draw(st.integers(1, 12)), draw(st.integers(1, 16))
+    row = st.tuples(*[st.sampled_from((-1, 1))] * k)
+    return pulses.SignMatrix(tuple(draw(row) for _ in range(n)))
+
+
+@PROPS
+@given(m=sign_matrices(), slot=st.floats(1e-7, 1e-4),
+       width_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.25)),
+       pair=st.tuples(st.integers(0, 11), st.integers(0, 11)))
+def test_sign_matrix_reads_match_references(m, slot, width_frac, pair):
+    assert m.scales.tolist() == [
+        [reference_scale(m, i, j) for j in range(m.n)] for i in range(m.n)]
+    assert all(m.scales[i, i] == 1.0 for i in range(m.n))
+    for i in range(m.n):
+        for j in range(m.n):
+            if i != j:
+                assert pulses.effective_coupling_scale(m, i, j) == \
+                    reference_scale(m, i, j)
+    i, j = pair[0] % m.n, pair[1] % m.n
+    if i != j:
+        res = pulses.recouple(m, (i, j))
+        assert res.degraded_pairs == reference_degraded(res.matrix, (i, j))
+        assert all(type(p) is int and type(q) is int and type(s) is float
+                   for p, q, s in res.degraded_pairs)
+    seq = pulses.decoupling_schedule(m, slot, width_frac * slot)
+    got = [(e.t_start, e.duration, e.flip_angle, e.phase, e.target)
+           for e in seq.events]
+    assert got == reference_decoupling_events(m, slot, width_frac * slot)
+    assert all(type(e.t_start) is float for e in seq.events)
+

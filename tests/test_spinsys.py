@@ -1,5 +1,6 @@
 """Exact spin dynamics: operators, Hamiltonians, propagation, fidelities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,12 @@ class TestBuildSystem:
         assert len(with_sp.couplings) == 1
         assert with_sp.couplings[0].kind == "full_dipolar"
         assert len(without.couplings) == 0
+
+    def test_oblique_field_rejected(self):
+        # the couplings take the field along the chains (phi = 0)
+        tilted = dataclasses.replace(FAP, phi=math.acos(1 / math.sqrt(3)))
+        with pytest.raises(ConfigError, match="phi"):
+            spinsys.build_system(tilted, 2, [(0.0, 0.0)], 1.4e6)
 
     def test_cap(self):
         with pytest.raises(ConfigError):
@@ -248,6 +255,17 @@ class TestEvolution:
             spinsys.propagator(sys, seq, mode="ideal")
         with pytest.raises(ConfigError, match="zero-width"):
             spinsys.evolve(sys, seq, QuantumState.all_up(2), mode="ideal")
+
+    @pytest.mark.parametrize("width, mode", [(0.0, "ideal"),
+                                             (1e-6, "sampled")])
+    def test_pulse_on_missing_plane_rejected(self, width, mode):
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
+        ev = pulses.PulseEvent(0.0, width, math.pi, pulses.PHASE_X, 5)
+        seq = pulses.Sequence((ev,), cycle_time=2e-6)
+        with pytest.raises(ConfigError, match="plane 5 out of range"):
+            spinsys.propagator(sys, seq, mode=mode)
+        with pytest.raises(ConfigError, match="plane 5 out of range"):
+            spinsys.evolve(sys, seq, QuantumState.all_up(3), mode=mode)
 
     def test_propagator_unitary_check(self):
         with pytest.raises(ConfigError):
