@@ -28,54 +28,52 @@ __all__ = ["main"]
 
 
 class _Emitter:
-    """Collects output tables/documents and writes them all at the end."""
+    """Renders output files as a command adds them and writes them all at
+    the end, so a command that fails leaves no output directory."""
 
     def __init__(self, out_dir: str, fmt: str, meta: bool, command: str):
         self.out = Path(out_dir)
         self.fmt = fmt
         self.meta = meta
         self.command = command
-        self.tables = []       # (name, header, rows)
-        self.documents = []    # (name, obj)
-        self.written = []
+        self.files = []        # (file name, text)
 
     def table(self, name: str, header: list[str], rows: list[list]):
-        self.tables.append((name, header, rows))
+        if self.fmt == "json":
+            self.document(name, {"header": header,
+                                 "rows": [[_jcell(v) for v in row]
+                                          for row in rows]})
+            return
+        lines = ["# " + self._meta_line()] if self.meta else []
+        lines.append(",".join(header))
+        lines.extend(",".join(_cell(v) for v in row) for row in rows)
+        self.text(f"{name}.csv", "\n".join(lines) + "\n")
 
     def document(self, name: str, obj: dict):
-        self.documents.append((name, obj))
+        if self.meta:
+            obj = dict(obj, _meta=self._meta_line())
+        self.text(f"{name}.json", _dumps(obj))
+
+    def text(self, file_name: str, text: str):
+        """A file written verbatim, without the meta line."""
+        self.files.append((file_name, text))
 
     def _meta_line(self) -> str:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         return f"chainqc {__version__} {self.command} {stamp}"
 
     def flush(self) -> list[str]:
-        self.out.mkdir(parents=True, exist_ok=True)
-        for name, header, rows in self.tables:
-            if self.fmt == "csv":
-                path = self.out / f"{name}.csv"
-                lines = []
-                if self.meta:
-                    lines.append("# " + self._meta_line())
-                lines.append(",".join(header))
-                for row in rows:
-                    lines.append(",".join(_cell(v) for v in row))
-                path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            else:
-                path = self.out / f"{name}.json"
-                obj = {"header": header,
-                       "rows": [[_jcell(v) for v in row] for row in rows]}
-                if self.meta:
-                    obj["_meta"] = self._meta_line()
-                path.write_text(_dumps(obj), encoding="utf-8")
-            self.written.append(str(path))
-        for name, obj in self.documents:
-            path = self.out / f"{name}.json"
-            if self.meta:
-                obj = dict(obj, _meta=self._meta_line())
-            path.write_text(_dumps(obj), encoding="utf-8")
-            self.written.append(str(path))
-        return self.written
+        written = []
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+            for file_name, text in self.files:
+                path = self.out / file_name
+                path.write_text(text, encoding="utf-8")
+                written.append(str(path))
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write outputs under {self.out}: {exc}") from None
+        return written
 
 
 def _cell(v) -> str:
@@ -97,7 +95,7 @@ def _dumps(obj) -> str:
 # --- commands ---------------------------------------------------------------
 
 
-def cmd_lattice(cfg: config.RunConfig, em: _Emitter, verbose: bool):
+def cmd_lattice(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("lattice")
     lat = cfg.lattice()
     max_sep = s["max_plane_separation"]
@@ -128,11 +126,11 @@ def cmd_lattice(cfg: config.RunConfig, em: _Emitter, verbose: bool):
         "convergence_radius_m": metrics.convergence_radius,
         "n_transverse_sites": metrics.n_sites,
     })
-    if verbose:
+    if args.verbose:
         print(f"sigma/delta = {metrics.sigma_over_delta:.6g}")
 
 
-def cmd_magnet(cfg: config.RunConfig, em: _Emitter, verbose: bool):
+def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("magnet")
     lat = cfg.lattice()
     r0 = np.array(s["sample_origin_m"])
@@ -180,41 +178,38 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, verbose: bool):
             "passed": rep.passed,
         },
     })
-    if verbose and n > 1:
+    if args.verbose and n > 1:
         print(f"splitting = 2*pi * {deltas[0] / TWO_PI:.6g} Hz")
 
 
-def _build_schedule(seq_cfg: dict, recouple_pair=None):
-    n = seq_cfg["n_planes"]
-    bb = pulses.wahuha(seq_cfg["tau_s"], seq_cfg["pulse_width_s"])
+def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
+    s = cfg.section("sequence")
+    n = s["n_planes"]
+    pair = tuple(s["recouple"]) if "recouple" in s else None
+    if args.recouple is not None:
+        try:
+            i, j = (int(x) for x in args.recouple.split(","))
+        except ValueError:
+            raise ConfigError(
+                "--recouple expects two comma-separated integers") from None
+        pair = (i, j)
+    bb = pulses.wahuha(s["tau_s"], s["pulse_width_s"])
     m = pulses.hadamard_sign_matrix(n)
     degraded = []
-    if recouple_pair is not None:
-        i, j = recouple_pair
+    if pair is not None:
+        i, j = pair
         if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ConfigError(
-                f"recouple pair {recouple_pair} invalid for n={n}")
-        rec = pulses.recouple(m, (i, j))
+            raise ConfigError(f"recouple pair {pair} invalid for n={n}")
+        rec = pulses.recouple(m, pair)
         m = rec.matrix
         degraded = list(rec.degraded_pairs)
-    sel = pulses.decoupling_schedule(m, seq_cfg["slot_s"],
-                                     seq_cfg["pi_width_s"])
+    sel = pulses.decoupling_schedule(m, s["slot_s"], s["pi_width_s"])
     merged = pulses.interleave(bb, sel)
-    return merged, m, degraded
-
-
-def cmd_schedule(cfg: config.RunConfig, em: _Emitter, verbose: bool,
-                 recouple_pair=None):
-    s = cfg.section("sequence")
-    if recouple_pair is None and "recouple" in s:
-        recouple_pair = tuple(s["recouple"])
-    merged, m, degraded = _build_schedule(s, recouple_pair)
     em.table("schedule_timeline",
              ["t_start_s", "duration_s", "flip_angle_rad", "phase_rad",
               "target"],
              [[e.t_start, e.duration, e.flip_angle, e.phase, str(e.target)]
               for e in merged.events])
-    (em.out).mkdir(parents=True, exist_ok=True)
     em.document("schedule_validation", {
         "valid": True,
         "n_planes": m.n,
@@ -222,20 +217,18 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, verbose: bool,
         "cycle_time_s": merged.cycle_time,
         "n_events": len(merged.events),
         "effective_coupling_scales": m.scales.tolist(),
-        "recoupled_pair": list(recouple_pair) if recouple_pair else None,
+        "recoupled_pair": list(pair) if pair else None,
         "degraded_pairs": [[i, j, sc] for i, j, sc in degraded],
         "cycle_time_model_s": pulses.cycle_time_model(
             m.n, s["L"], cfg.scalability().delta_omega),
     })
-    sched_path = em.out / "schedule.json"
-    sched_path.write_text(pulses.sequence_to_json(merged), encoding="utf-8")
-    em.written.append(str(sched_path))
-    if verbose:
+    em.text("schedule.json", pulses.sequence_to_json(merged))
+    if args.verbose:
         print(f"schedule: {len(merged.events)} events over "
               f"{merged.cycle_time:.3e} s")
 
 
-def cmd_simulate(cfg: config.RunConfig, em: _Emitter, verbose: bool):
+def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
     ss = cfg.section("spin_system")
     seq_cfg = cfg.section("sequence")
     lat = cfg.lattice()
@@ -273,7 +266,7 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, verbose: bool):
     em.table("simulate_trajectory",
              ["t_s"] + [f"iz_plane_{p}" for p in range(sys.n_planes)], rows)
     em.document("simulate_summary", summary)
-    if verbose:
+    if args.verbose:
         print(f"fidelity = {fid:.12f}")
 
 
@@ -285,7 +278,7 @@ def _scalability_row(p, n, t2_grid):
     return row
 
 
-def cmd_scalability(cfg: config.RunConfig, em: _Emitter, verbose: bool):
+def cmd_scalability(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("scalability")
     p = cfg.scalability()
     t2_grid = s["T2_grid_s"]
@@ -309,7 +302,7 @@ def cmd_scalability(cfg: config.RunConfig, em: _Emitter, verbose: bool):
         "gate_budget_times_L": budget.budget_times_l,
         "cycle_time_s": budget.cycle_time,
     })
-    if verbose:
+    if args.verbose:
         print(f"max measurable qubits = {mrfm.max_measurable_qubits(p)}")
 
 
@@ -318,7 +311,7 @@ def _t2_tag(t2: float) -> str:
     return txt + "s"
 
 
-def cmd_readout(cfg: config.RunConfig, em: _Emitter, verbose: bool):
+def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("readout")
     params = cfg.cai()
     res = mrfm.simulate_cai_readout(
@@ -341,7 +334,7 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, verbose: bool):
         "warning": params.excursion_warning(s.get("delta_omega_rad_per_s")),
         "thermal_force_noise_N_per_sqrt_Hz": mrfm.thermal_force_noise(cant),
     })
-    if verbose:
+    if args.verbose:
         print(f"following figure = {res.following_figure:.6f}")
 
 
@@ -388,19 +381,7 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be at least 1")
         cfg = config.load_config(args.config)
         em = _Emitter(args.out, args.format, not args.no_meta, args.command)
-        if args.command == "schedule":
-            pair = None
-            if args.recouple is not None:
-                try:
-                    i, j = (int(x) for x in args.recouple.split(","))
-                except ValueError:
-                    raise ConfigError(
-                        "--recouple expects two comma-separated integers"
-                    ) from None
-                pair = (i, j)
-            cmd_schedule(cfg, em, args.verbose, recouple_pair=pair)
-        else:
-            _COMMANDS[args.command](cfg, em, args.verbose)
+        _COMMANDS[args.command](cfg, em, args)
         written = em.flush()
         if args.verbose:
             for path in written:

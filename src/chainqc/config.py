@@ -92,7 +92,6 @@ _SPEC = {
         "a_m": (_POS, None),
         "transverse_basis_m": (_array(_VEC2, 2, 2), None),
         "gamma_rad_per_s_T": (_POS, None),
-        "phi_rad": (_NUMBER, None),
         "rel_tol": (_POS, 1e-4),
         "include_lower_plane": (_BOOL, False),
         "max_plane_separation": (_int(1, MAX_PLANE_SEPARATION), 10),
@@ -199,8 +198,7 @@ class RunConfig:
     def lattice(self) -> ChainLattice:
         """The preset, with any field the config overrides replaced."""
         s = self.raw["lattice"]
-        fields = {"name": "name", "a": "a_m", "gamma": "gamma_rad_per_s_T",
-                  "phi": "phi_rad"}
+        fields = {"name": "name", "a": "a_m", "gamma": "gamma_rad_per_s_T"}
         over = {f: s[k] for f, k in fields.items() if k in s}
         if "transverse_basis_m" in s:
             over["transverse_basis"] = tuple(
@@ -226,8 +224,7 @@ class RunConfig:
             gamma=s["gamma_rad_per_s_T"],
             T2_0=s["T2_0_s"],
             L=s["L"],
-            delta_omega=(s["gamma_rad_per_s_T"] * self.lattice().a
-                         * s["grad_T_per_m"]),  # the plane splitting
+            a=self.lattice().a,
             force_threshold=s["force_threshold_N_per_sqrt_Hz"],
             bandwidth=s["bandwidth_Hz"],
         )

@@ -44,15 +44,14 @@ class ChainLattice:
     """Geometry and nuclear constants of a chain crystal.
 
     a: intra-chain spacing (m); transverse_basis: two 2-vectors (m) spanning
-    the chain lattice; gamma: gyromagnetic ratio (rad/s/T); phi: angle between
-    the chain axis and the applied field (rad).
+    the chain lattice; gamma: gyromagnetic ratio (rad/s/T).  The applied
+    field lies along the chains.
     """
 
     name: str
     a: float
     transverse_basis: tuple[tuple[float, float], tuple[float, float]]
     gamma: float
-    phi: float = 0.0
 
     def __post_init__(self):
         if not self.a > 0:
@@ -62,11 +61,6 @@ class ChainLattice:
         (ax, ay), (bx, by) = self.transverse_basis
         if abs(ax * by - ay * bx) == 0.0:
             raise ConfigError("transverse basis vectors are collinear")
-
-    @property
-    def basis_matrix(self) -> np.ndarray:
-        """2x2 matrix with basis vectors as columns."""
-        return np.array(self.transverse_basis, dtype=float).T
 
     @property
     def min_transverse_spacing(self) -> float:
@@ -92,35 +86,26 @@ class CouplingMetrics:
             raise ConfigError("sigma must be non-negative")
 
 
-_PRESETS = {}
-
-
-def _register_presets():
-    # Fluorapatite: F- chains along c, a = c/2; chains form a triangular
-    # lattice of spacing 9.367 A.  gamma for 19F.
-    s_fap = 9.367e-10
-    _PRESETS["fluorapatite"] = ChainLattice(
+# Fluorapatite: F- chains along c, a = c/2; chains form a triangular lattice
+# of spacing 9.367 A.  CaF2 fluorine sublattice: simple cubic, chains on a
+# square lattice.  gamma for 19F.
+_S_FAP = 9.367e-10
+_A_CAF2 = 2.7255e-10
+_PRESETS = {
+    "fluorapatite": ChainLattice(
         name="fluorapatite",
         a=3.442e-10,
-        transverse_basis=(
-            (s_fap, 0.0),
-            (0.5 * s_fap, 0.5 * math.sqrt(3.0) * s_fap),
-        ),
+        transverse_basis=((_S_FAP, 0.0),
+                          (0.5 * _S_FAP, 0.5 * math.sqrt(3.0) * _S_FAP)),
         gamma=TWO_PI * 40e6,
-        phi=0.0,
-    )
-    # CaF2 fluorine sublattice: simple cubic, chains on a square lattice.
-    a_caf2 = 2.7255e-10
-    _PRESETS["simple_cubic"] = ChainLattice(
+    ),
+    "simple_cubic": ChainLattice(
         name="simple_cubic",
-        a=a_caf2,
-        transverse_basis=((a_caf2, 0.0), (0.0, a_caf2)),
+        a=_A_CAF2,
+        transverse_basis=((_A_CAF2, 0.0), (0.0, _A_CAF2)),
         gamma=TWO_PI * 40e6,
-        phi=0.0,
-    )
-
-
-_register_presets()
+    ),
+}
 
 
 def preset_names() -> list[str]:
@@ -139,14 +124,13 @@ def get_preset(name: str) -> ChainLattice:
 def intra_chain_coupling(lat: ChainLattice, i: int, j: int) -> float:
     """zz coupling coefficient delta_omega_ij (rad/s) between planes i and j.
 
-    The Hamiltonian term is hbar * delta_omega_ij * Iz_i Iz_j.  Negative for
-    phi = 0.
+    The Hamiltonian term is hbar * delta_omega_ij * Iz_i Iz_j; with the field
+    along the chains the angular factor 1 - 3cos^2(0) is -2, so it is negative.
     """
     if i == j:
         raise ConfigError("intra_chain_coupling requires i != j")
     r = abs(j - i) * lat.a
-    ang = 1.0 - 3.0 * math.cos(lat.phi) ** 2
-    return MU0_OVER_4PI * lat.gamma**2 * HBAR * ang / r**3
+    return MU0_OVER_4PI * lat.gamma**2 * HBAR * -2.0 / r**3
 
 
 def b_coefficient(lam):
@@ -169,15 +153,12 @@ def splitting(lat: ChainLattice, grad: float) -> float:
     return lat.gamma * lat.a * abs(grad)
 
 
-def chain_sites_within(lat: ChainLattice, radius: float,
-                       include_origin: bool = False) -> np.ndarray:
-    """Transverse lattice points with norm <= radius, sorted by (norm, x, y).
-
-    The origin is excluded unless ``include_origin`` is set.
-    """
+def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
+    """Transverse lattice points other than the origin with norm <= radius,
+    sorted by (norm, x, y)."""
     if radius < 0:
         raise ConfigError("radius must be non-negative")
-    B = lat.basis_matrix
+    B = np.array(lat.transverse_basis, dtype=float).T  # basis as columns
     # Integer coefficient bound from the smallest singular value of B.
     smin = np.linalg.svd(B, compute_uv=False)[-1]
     if radius == 0.0 or smin == 0.0:
@@ -193,9 +174,7 @@ def chain_sites_within(lat: ChainLattice, radius: float,
     coeffs = np.stack([ii.ravel(), jj.ravel()], axis=1)
     pts = coeffs @ B.T
     norms = np.linalg.norm(pts, axis=1)
-    mask = norms <= radius
-    if not include_origin:
-        mask &= ~np.all(coeffs == 0, axis=1)
+    mask = (norms <= radius) & ~np.all(coeffs == 0, axis=1)
     pts = pts[mask]
     norms = norms[mask]
     order = np.lexsort((pts[:, 1], pts[:, 0], norms))

@@ -47,7 +47,6 @@ class PrismMagnet:
     d: float
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     magnetization: float = 0.0
-    label: str = ""
 
     def __post_init__(self):
         if not (self.w > 0 and self.h > 0 and self.d > 0):

@@ -67,17 +67,23 @@ class ScalabilityParams:
     gamma: float = DEFAULT_GAMMA       # rad/s/T
     T2_0: float = 0.1                  # s
     L: float = 16.0                    # decoupling block length
-    delta_omega: float = DEFAULT_GAMMA * 3.442e-10 * 1.4e6  # rad/s
+    a: float = 3.442e-10               # m, plane spacing
     force_threshold: float = DEFAULT_FORCE_THRESHOLD        # N/sqrt(Hz)
     bandwidth: float = 1.0             # Hz
 
     def __post_init__(self):
+        # delta_omega too: the product of finite factors can overflow
         for name in ("B0", "temperature", "N", "grad", "gamma", "T2_0",
-                     "L", "delta_omega", "force_threshold", "bandwidth"):
+                     "L", "a", "delta_omega", "force_threshold", "bandwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
         if not self.n >= 1:
             raise ConfigError("n must be at least 1")
+
+    @property
+    def delta_omega(self) -> float:
+        """Splitting of adjacent planes, gamma * a * grad (rad/s)."""
+        return self.gamma * self.a * self.grad
 
     @property
     def detection_threshold(self) -> float:
@@ -201,12 +207,11 @@ def max_measurable_qubits(p: ScalabilityParams) -> int:
     return lo
 
 
-def required_field_over_temp(n: int, p: ScalabilityParams,
-                             bracket=(1e-6, 1e7)) -> float:
+def required_field_over_temp(n: int, p: ScalabilityParams) -> float:
     """B0/T (T/K) at which n qubits are exactly measurable.
 
-    Solves readout_force = threshold by bisection; the force is monotone
-    increasing in B0/T at fixed n.
+    Solves readout_force = threshold by bisection over B0/T in
+    [1e-6, 1e7] T/K; the force is monotone increasing in B0/T at fixed n.
     """
     if n < 1:
         raise ConfigError("n must be at least 1")
@@ -216,7 +221,7 @@ def required_field_over_temp(n: int, p: ScalabilityParams,
         q = replace(p, B0=bt, temperature=1.0, n=n)
         return readout_force(effective_pure_magnetization(q), p.grad) - thr
 
-    lo, hi = bracket
+    lo, hi = 1e-6, 1e7
     flo, fhi = f(lo), f(hi)
     if flo > 0 or fhi < 0:
         raise ConvergenceError(

@@ -31,7 +31,6 @@ __all__ = [
     "wahuha",
     "hadamard_sign_matrix",
     "decoupling_schedule",
-    "effective_coupling_scale",
     "recouple",
     "interleave",
     "cycle_time_model",
@@ -154,14 +153,10 @@ class SignMatrix:
         a = np.array(self.rows, dtype=int).reshape(self.n, self.k)
         return a @ a.T / self.k
 
-    def rows_orthogonal(self) -> bool:
-        return bool(np.array_equal(self.scales, np.eye(self.n)))
-
 
 @dataclass(frozen=True)
 class RecoupleResult:
     matrix: SignMatrix
-    pair: tuple[int, int]
     degraded_pairs: tuple[tuple[int, int, float], ...]  # (i, j, scale)
 
 
@@ -226,13 +221,6 @@ def decoupling_schedule(m: SignMatrix, slot: float,
                     label=f"hadamard-decoupling-k{k}")
 
 
-def effective_coupling_scale(m: SignMatrix, i: int, j: int) -> float:
-    """Fraction of the zz coupling between planes i and j surviving the schedule."""
-    if i == j:
-        raise ConfigError("distinct planes required")
-    return float(m.scales[i, j])
-
-
 def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
     """Recouple one plane pair by giving both planes identical sign rows.
 
@@ -249,7 +237,7 @@ def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
     pairs = np.argwhere(np.triu(out.scales, 1)).tolist()
     degraded = tuple((p, q, float(out.scales[p, q])) for p, q in pairs
                      if (p, q) != (min(i, j), max(i, j)))
-    return RecoupleResult(matrix=out, pair=(i, j), degraded_pairs=degraded)
+    return RecoupleResult(matrix=out, degraded_pairs=degraded)
 
 
 def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
@@ -264,7 +252,12 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
     if broadband.cycle_time <= 0:
         raise ConfigError("broadband cycle_time must be positive")
     span = max(broadband.cycle_time, selective.cycle_time)
-    reps = max(1, math.ceil(span / broadband.cycle_time - 1e-12))
+    cycles = span / broadband.cycle_time - 1e-12
+    if not cycles <= MAX_SCHEDULE_EVENTS:  # inf too, which ceil cannot take
+        raise ConfigError(f"interleaved schedule of {cycles:.3g} broadband "
+                          f"cycles exceeds the cap of {MAX_SCHEDULE_EVENTS} "
+                          f"events")
+    reps = max(1, math.ceil(cycles))
     n = reps * len(broadband.events) + len(selective.events)
     if n > MAX_SCHEDULE_EVENTS:
         raise ConfigError(f"interleaved schedule of {n} events exceeds "

@@ -121,9 +121,6 @@ class SpinSystem:
     def spin_index(self, plane: int, chain: int) -> int:
         return plane * self.n_chains + chain
 
-    def plane_of(self, spin: int) -> int:
-        return spin // self.n_chains
-
     def plane_spins(self, plane: int) -> list[int]:
         if not 0 <= plane < self.n_planes:
             raise ConfigError(f"plane {plane} out of range")
@@ -280,8 +277,6 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
     same-plane pairs keep the full dipolar form (optionally dropped via
     ``include_same_plane`` to isolate cross-chain zz effects).
     """
-    if lat.phi != 0:  # the coefficients below take the field along the chains
-        raise ConfigError(f"build_system needs phi = 0, got {lat.phi!r}")
     positions = [tuple(float(c) for c in p) for p in chain_positions]
     if len(set(positions)) != len(positions):
         raise ConfigError("duplicate chain positions")

@@ -40,11 +40,13 @@ _REJECTED = [
     ([], "<root>"),
     (_v1(magnet=[]), "magnet"),
     (_v1(readout={"cantilever": 1.0}), "readout/cantilever"),
-    (_v1(lattice={"phi_rad": "0"}), "lattice/phi_rad"),
+    (_v1(magnet={"sample_origin_m": ["0", 0.0, 0.0]}),
+     "magnet/sample_origin_m/0"),
     (_v1(lattice={"a_m": True}), "lattice/a_m"),
     (_v1(lattice={"a_m": 0}), "lattice/a_m"),
     (_v1(lattice={"a_m": 10**400}), "lattice/a_m"),
-    (_v1(lattice={"phi_rad": math.nan}), "lattice/phi_rad"),
+    (_v1(magnet={"sample_origin_m": [math.nan, 0.0, 0.0]}),
+     "magnet/sample_origin_m/0"),
     (_v1(readout={"cantilever": {"quality": 0.0}}),
      "readout/cantilever/quality"),
     (_v1(magnet={"magnetization_A_per_m": -1}),
@@ -85,7 +87,7 @@ _KEY_PATHS = (
     + [("readout", "cantilever", key)
        for key in _DEFAULTS["readout"]["cantilever"]]
     + [("lattice", k) for k in ("name", "a_m", "transverse_basis_m",
-                                "gamma_rad_per_s_T", "phi_rad")]
+                                "gamma_rad_per_s_T")]
     + [("magnet", "grad_override_T_per_m"), ("sequence", "recouple"),
        ("readout", "delta_omega_rad_per_s"), ("schema_version",),
        ("lattice", "bogus")]
@@ -352,6 +354,7 @@ class TestExitCodes:
         {"n_planes": 256},      # minutes of window scanning
         {"tau_s": 1e-12},       # 4e6 WAHUHA repetitions
         {"n_planes": 64, "tau_s": 4.9e-7},  # 12 events past the cap
+        {"tau_s": 1e-320},      # inf repetitions, which math.ceil rejects
     ])
     def test_unbounded_schedule_exits_2(self, tmp_path, capsys, seq):
         cfg = write_cfg(tmp_path, _v1(sequence=seq))
@@ -359,6 +362,35 @@ class TestExitCodes:
         assert run(["schedule", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_schedule_splitting_overflow_leaves_no_output(self, tmp_path,
+                                                          capsys):
+        cfg = write_cfg(tmp_path, _v1(scalability={
+            "grad_T_per_m": 1e300, "gamma_rad_per_s_T": 1e300}))
+        out = tmp_path / "o"
+        assert run(["schedule", "--config", cfg, "--out", str(out)]) == 2
+        assert "delta_omega must be positive and finite" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, below):
+        blocker = tmp_path / "file"
+        blocker.write_text("kept", encoding="utf-8")
+        out = blocker / "sub" if below else blocker
+        assert run(["lattice", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write outputs under {out}")
+        assert "Traceback" not in err
+        assert blocker.read_text(encoding="utf-8") == "kept"
+
+    def test_field_angle_key_rejected(self, tmp_path, capsys):
+        # the field lies along the chains in every model
+        cfg = write_cfg(tmp_path, _v1(lattice={"phi_rad": 0.9553}))
+        out = tmp_path / "o"
+        assert run(["lattice", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown key 'phi_rad'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_schedule_at_both_caps_exits_0(self, tmp_path):

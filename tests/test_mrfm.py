@@ -109,10 +109,18 @@ class TestMeasurableQubits:
 
     def test_bracket_failure(self):
         with pytest.raises(ConvergenceError):
-            mrfm.required_field_over_temp(10, DESIGN, bracket=(1e-6, 1e-5))
+            mrfm.required_field_over_temp(
+                10, replace(DESIGN, force_threshold=1e10))
 
 
 class TestGateBudget:
+    def test_splitting_follows_gradient(self):
+        assert DESIGN.delta_omega == mrfm.DEFAULT_GAMMA * 3.442e-10 * 1.4e6
+        doubled = replace(DESIGN, grad=2 * DESIGN.grad)
+        assert doubled.delta_omega == 2 * DESIGN.delta_omega
+        assert (mrfm.gate_budget(doubled).budget
+                == 2 * mrfm.gate_budget(DESIGN).budget)
+
     def test_algebraic_identity(self):
         for n in (2, 10, 100):
             p = replace(DESIGN, n=n)

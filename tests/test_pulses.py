@@ -125,22 +125,24 @@ class TestHadamard:
 
     def test_rows_orthogonal(self):
         for n in (2, 3, 4, 5, 8):
-            assert pulses.hadamard_sign_matrix(n).rows_orthogonal()
+            assert np.array_equal(pulses.hadamard_sign_matrix(n).scales,
+                                  np.eye(n))
         m = pulses.hadamard_sign_matrix(4)
-        assert not pulses.recouple(m, (0, 3)).matrix.rows_orthogonal()
+        assert not np.array_equal(pulses.recouple(m, (0, 3)).matrix.scales,
+                                  np.eye(4))
 
     def test_effective_scale(self):
         m = pulses.hadamard_sign_matrix(4)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert pulses.effective_coupling_scale(m, i, j) == 0.0
+                assert m.scales[i, j] == 0.0
 
     def test_recouple(self):
         m = pulses.hadamard_sign_matrix(3)
         res = pulses.recouple(m, (1, 2))
-        assert pulses.effective_coupling_scale(res.matrix, 1, 2) == 1.0
-        assert pulses.effective_coupling_scale(res.matrix, 0, 1) == 0.0
-        assert pulses.effective_coupling_scale(res.matrix, 0, 2) == 0.0
+        assert res.matrix.scales[1, 2] == 1.0
+        assert res.matrix.scales[0, 1] == 0.0
+        assert res.matrix.scales[0, 2] == 0.0
         assert res.degraded_pairs == ()
 
     def test_sign_matrix_validation(self):
@@ -563,11 +565,6 @@ def test_sign_matrix_reads_match_references(m, slot, width_frac, pair):
     assert m.scales.tolist() == [
         [reference_scale(m, i, j) for j in range(m.n)] for i in range(m.n)]
     assert all(m.scales[i, i] == 1.0 for i in range(m.n))
-    for i in range(m.n):
-        for j in range(m.n):
-            if i != j:
-                assert pulses.effective_coupling_scale(m, i, j) == \
-                    reference_scale(m, i, j)
     i, j = pair[0] % m.n, pair[1] % m.n
     if i != j:
         res = pulses.recouple(m, (i, j))

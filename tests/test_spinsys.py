@@ -1,6 +1,5 @@
 """Exact spin dynamics: operators, Hamiltonians, propagation, fidelities."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -49,7 +48,6 @@ class TestSpinSystem:
         assert sys.n_chains == 2
         assert sys.total_spins == 4
         assert sys.spin_index(1, 1) == 3
-        assert sys.plane_of(2) == 1
 
     def test_spin_cap(self):
         with pytest.raises(ConfigError):
@@ -117,12 +115,6 @@ class TestBuildSystem:
         assert len(with_sp.couplings) == 1
         assert with_sp.couplings[0].kind == "full_dipolar"
         assert len(without.couplings) == 0
-
-    def test_oblique_field_rejected(self):
-        # the couplings take the field along the chains (phi = 0)
-        tilted = dataclasses.replace(FAP, phi=math.acos(1 / math.sqrt(3)))
-        with pytest.raises(ConfigError, match="phi"):
-            spinsys.build_system(tilted, 2, [(0.0, 0.0)], 1.4e6)
 
     def test_cap(self):
         with pytest.raises(ConfigError):
