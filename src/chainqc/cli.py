@@ -29,7 +29,9 @@ __all__ = ["main"]
 
 class _Emitter:
     """Renders output files as a command adds them and writes them all at
-    the end, so a command that fails leaves no output directory."""
+    the end, so a command that fails leaves no output directory.  None marks
+    an undefined value (null in JSON, nan in CSV); a non-finite float is a
+    numerical failure."""
 
     def __init__(self, out_dir: str, fmt: str, meta: bool, command: str):
         self.out = Path(out_dir)
@@ -44,6 +46,10 @@ class _Emitter:
                                  "rows": [[_jcell(v) for v in row]
                                           for row in rows]})
             return
+        if any(isinstance(v, float) and not math.isfinite(v)
+               for row in rows for v in row):
+            raise ConvergenceError(
+                f"{name}.csv would hold a non-finite number")
         lines = ["# " + self._meta_line()] if self.meta else []
         lines.append(",".join(header))
         lines.extend(",".join(_cell(v) for v in row) for row in rows)
@@ -52,7 +58,12 @@ class _Emitter:
     def document(self, name: str, obj: dict):
         if self.meta:
             obj = dict(obj, _meta=self._meta_line())
-        self.text(f"{name}.json", _dumps(obj))
+        try:
+            text = _dumps(obj)
+        except ValueError:
+            raise ConvergenceError(
+                f"{name}.json would hold a non-finite number") from None
+        self.text(f"{name}.json", text)
 
     def text(self, file_name: str, text: str):
         """A file written verbatim, without the meta line."""
@@ -77,19 +88,22 @@ class _Emitter:
 
 
 def _cell(v) -> str:
+    if v is None:
+        return "nan"
     if isinstance(v, float):
         return repr(v)
     return str(v)
 
 
 def _jcell(v):
-    if isinstance(v, (int, float, str)):
+    if v is None or isinstance(v, (int, float, str)):
         return v
     return str(v)
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"
 
 
 # --- commands ---------------------------------------------------------------
@@ -146,9 +160,9 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
     offsets, deltas = magnet.splitting_profile(field, r0, lat.a, n, lat.gamma)
     rows = []
     for i in range(n):
-        d = deltas[i] if i < n - 1 else math.nan
+        d = float(deltas[i]) if i < n - 1 else None
         rows.append([i, float(offsets[i]), float(offsets[i] / TWO_PI),
-                     float(d), float(d / TWO_PI)])
+                     d, None if d is None else d / TWO_PI])
     em.table("magnet_splitting_profile",
              ["plane", "offset_rad_per_s", "offset_Hz",
               "delta_to_next_rad_per_s", "delta_to_next_Hz"], rows)
@@ -184,6 +198,7 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
 
 def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("sequence")
+    p = cfg.scalability()
     n = s["n_planes"]
     pair = tuple(s["recouple"]) if "recouple" in s else None
     if args.recouple is not None:
@@ -219,8 +234,8 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
         "effective_coupling_scales": m.scales.tolist(),
         "recoupled_pair": list(pair) if pair else None,
         "degraded_pairs": [[i, j, sc] for i, j, sc in degraded],
-        "cycle_time_model_s": pulses.cycle_time_model(
-            m.n, s["L"], cfg.scalability().delta_omega),
+        "cycle_time_model_s": pulses.cycle_time_model(m.n, p.L,
+                                                      p.delta_omega),
     })
     em.text("schedule.json", pulses.sequence_to_json(merged))
     if args.verbose:
@@ -334,7 +349,7 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
         "warning": params.excursion_warning(s.get("delta_omega_rad_per_s")),
         "thermal_force_noise_N_per_sqrt_Hz": mrfm.thermal_force_noise(cant),
     })
-    if args.verbose:
+    if args.verbose and res.following_figure is not None:
         print(f"following figure = {res.following_figure:.6f}")
 
 

@@ -82,7 +82,6 @@ def _array(item, lo: int, hi: float = math.inf):
 _POSINT = _int(1)
 _VEC2 = _array(_NUMBER, 2, 2)
 _VEC3 = _array(_NUMBER, 3, 3)
-_GAMMA_F = TWO_PI * 40e6
 
 _SPEC = {
     "schema_version": (_enum(CONFIG_SCHEMA_VERSION), _REQUIRED),
@@ -126,7 +125,6 @@ _SPEC = {
         "slot_s": (_POS, 6e-6),
         "pulse_width_s": (_NONNEG, 0.0),
         "pi_width_s": (_NONNEG, 0.0),
-        "L": (_POS, 16.0),
         "recouple": (_array(_int(0), 2, 2), None),
     },
     "scalability": {
@@ -134,10 +132,9 @@ _SPEC = {
         "temperature_K": (_POS, 4.0),
         "copies_N": (_POS, 1e7),
         "n": (_POSINT, 10),
-        "grad_T_per_m": (_POS, 1.4e6),
-        "gamma_rad_per_s_T": (_POS, _GAMMA_F),
         "T2_0_s": (_POS, 0.1),
         "L": (_POS, 16.0),
+        # the reported 4 K force resolution, at 1 Hz
         "force_threshold_N_per_sqrt_Hz": (_POS, 5.6e-18),
         "bandwidth_Hz": (_POS, 1.0),
         "n_grid": (_array(_POSINT, 1), list(range(2, 31))),
@@ -146,11 +143,11 @@ _SPEC = {
     "readout": {
         # w1/2pi = 10 kHz, Omega = 2*w1, w_m = w1^2/(10*Omega):
         # adiabaticity w1^2/(Omega*w_m) = 10.
-        "b1_T": (_NONNEG, TWO_PI * 10e3 / _GAMMA_F),
+        "b1_T": (_NONNEG,
+                 TWO_PI * 10e3 / get_preset("fluorapatite").gamma),
         "omega_m_rad_per_s": (_POS, TWO_PI * 10e3 / 20.0),
         "excursion_rad_per_s": (_POS, 2.0 * TWO_PI * 10e3),
         "n_periods": (_POSINT, 8),
-        "gamma_rad_per_s_T": (_POS, _GAMMA_F),
         "initial": (_enum("up", "down"), "up"),
         "steps_per_period": (_int(100), 4000),
         "delta_omega_rad_per_s": (_POS, None),
@@ -159,7 +156,6 @@ _SPEC = {
             "resonance_freq_Hz": (_POS, 5e3),
             "quality": (_POS, 5e4),
             "temperature_K": (_POS, 4.0),
-            "bandwidth_Hz": (_POS, 1.0),
         },
     },
 }
@@ -214,17 +210,19 @@ class RunConfig:
         )
 
     def scalability(self) -> ScalabilityParams:
+        """gamma and a come from the lattice, the gradient from spin_system."""
         s = self.raw["scalability"]
+        lat = self.lattice()
         return ScalabilityParams(
             B0=s["B0_T"],
             temperature=s["temperature_K"],
             N=s["copies_N"],
             n=s["n"],
-            grad=s["grad_T_per_m"],
-            gamma=s["gamma_rad_per_s_T"],
+            grad=self.raw["spin_system"]["grad_T_per_m"],
+            gamma=lat.gamma,
             T2_0=s["T2_0_s"],
             L=s["L"],
-            a=self.lattice().a,
+            a=lat.a,
             force_threshold=s["force_threshold_N_per_sqrt_Hz"],
             bandwidth=s["bandwidth_Hz"],
         )
@@ -237,7 +235,7 @@ class RunConfig:
             omega_m=omega_m,
             excursion=s["excursion_rad_per_s"],
             duration=s["n_periods"] * TWO_PI / omega_m,
-            gamma=s["gamma_rad_per_s_T"],
+            gamma=self.lattice().gamma,
         )
 
     def cantilever(self) -> CantileverModel:
@@ -247,7 +245,6 @@ class RunConfig:
             resonance_freq=s["resonance_freq_Hz"],
             quality=s["quality"],
             temperature=s["temperature_K"],
-            bandwidth=s["bandwidth_Hz"],
         )
 
 

@@ -90,7 +90,7 @@ class HomogeneityReport:
 
     max_variation_t: float      # max |Bz - Bz(center)| over the patch, T
     plane_step_t: float         # a * |dBz/dz| at the patch center, T
-    variation_fraction: float   # max_variation_t / plane_step_t
+    variation_fraction: float | None  # max_variation_t / plane_step_t
     threshold: float
     passed: bool
 
@@ -205,11 +205,12 @@ def plane_homogeneity(field_fn, r0, extent_x: float, extent_y: float,
         bz = field_fn(r0 + row)[0][:, 2]
         var = max(var, float(np.max(np.abs(bz - b0[2]))))
     step = float(a * abs(g0[2]))
-    frac = var / step if step > 0 else math.inf if var > 0 else 0.0
+    # undefined without a plane step, and then not passed
+    frac = var / step if step > 0 else None
     return HomogeneityReport(
         max_variation_t=var,
         plane_step_t=step,
         variation_fraction=frac,
         threshold=threshold,
-        passed=bool(frac <= threshold),
+        passed=frac is not None and bool(frac <= threshold),
     )

@@ -35,8 +35,6 @@ __all__ = [
     "simulate_cai_readout",
 ]
 
-DEFAULT_GAMMA = TWO_PI * 40e6          # 19F, rad/s/T
-DEFAULT_FORCE_THRESHOLD = 5.6e-18      # N (reported 4 K resolution x 1 Hz)
 # Largest CAI trace (three float arrays, 240 MB); the default readout takes
 # 32 000 steps.
 MAX_CAI_STEPS = 10**7
@@ -48,28 +46,27 @@ class CantileverModel:
     resonance_freq: float    # Hz
     quality: float
     temperature: float       # K
-    bandwidth: float = 1.0   # Hz
 
     def __post_init__(self):
         for name in ("spring_constant", "resonance_freq", "quality",
-                     "temperature", "bandwidth"):
+                     "temperature"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
 class ScalabilityParams:
-    B0: float = 7.0                    # T
-    temperature: float = 4.0           # K
-    N: float = 1e7                     # equivalent-frequency copies per plane
-    n: int = 10                        # qubits (planes)
-    grad: float = 1.4e6                # T/m
-    gamma: float = DEFAULT_GAMMA       # rad/s/T
-    T2_0: float = 0.1                  # s
-    L: float = 16.0                    # decoupling block length
-    a: float = 3.442e-10               # m, plane spacing
-    force_threshold: float = DEFAULT_FORCE_THRESHOLD        # N/sqrt(Hz)
-    bandwidth: float = 1.0             # Hz
+    B0: float                # T
+    temperature: float       # K
+    N: float                 # equivalent-frequency copies per plane
+    n: int                   # qubits (planes)
+    grad: float              # T/m
+    gamma: float             # rad/s/T
+    T2_0: float              # s
+    L: float                 # decoupling block length
+    a: float                 # m, plane spacing
+    force_threshold: float   # N/sqrt(Hz)
+    bandwidth: float         # Hz
 
     def __post_init__(self):
         # delta_omega too: the product of finite factors can overflow
@@ -77,6 +74,9 @@ class ScalabilityParams:
                      "L", "a", "delta_omega", "force_threshold", "bandwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
+        # the log-space magnetization starts from ln(gamma * hbar * N)
+        if not self.gamma * HBAR * self.N > 0:
+            raise ConfigError("gamma * hbar * N underflows to 0")
         if not self.n >= 1:
             raise ConfigError("n must be at least 1")
 
@@ -99,7 +99,7 @@ class CAIParams:
     omega_m: float           # rad/s, modulation frequency
     excursion: float         # rad/s, peak detuning Omega
     duration: float          # s, must be an integer number of periods
-    gamma: float = DEFAULT_GAMMA
+    gamma: float             # rad/s/T
 
     def __post_init__(self):
         if not self.b1 >= 0:
@@ -261,7 +261,7 @@ class CAIResult:
     times: np.ndarray            # s
     iz: np.ndarray               # <Iz>(t)
     detuning: np.ndarray         # rad/s at the sample times
-    following_figure: float      # min |<Iz>| / adiabatic prediction
+    following_figure: float | None  # min |<Iz>| / adiabatic prediction
     modulation_amplitude: float  # Fourier amplitude of <Iz> at omega_m
     norm_drift: float            # max | ||psi|| - 1 | over the trace
 
@@ -278,7 +278,8 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     effective field).  Each step is the exact SU(2) propagator of H at its
     midpoint, applied to the amplitudes (p, q) as two Python complex scalars.
     The adiabatic-following figure compares |<Iz>(t)| against the locked-spin
-    prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2) where it exceeds 0.1.
+    prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2) where it exceeds 0.1,
+    and is None where it never does.
     """
     if initial not in ("up", "down"):
         raise ConfigError("initial must be 'up' or 'down'")
@@ -343,7 +344,7 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     if mask.any():
         following = float(np.min(np.abs(iz[mask]) / pred[mask]))
     else:
-        following = math.nan
+        following = None
     # Fourier amplitude at omega_m over the integer number of periods.
     phase = np.exp(-1j * params.omega_m * times)
     amp = 2.0 * abs(np.sum(iz * phase)) / n_steps

@@ -14,9 +14,9 @@ import pytest
 from conftest import record_acceptance
 
 from chainqc.constants import HBAR, KB, MU0, TWO_PI
-from chainqc import cli, lattice, magnet, mrfm, pulses, spinsys
+from chainqc import cli, config, lattice, magnet, mrfm, pulses, spinsys
 from chainqc.magnet import PrismMagnet
-from chainqc.mrfm import CAIParams, ScalabilityParams
+from chainqc.mrfm import CAIParams
 from chainqc.spinsys import Coupling, SpinSystem, SX, SY, SZ, single_spin_op
 
 from test_magnet import bz_quadrature, exterior_points
@@ -24,7 +24,7 @@ from test_magnet import bz_quadrature, exterior_points
 
 FAP = lattice.get_preset("fluorapatite")
 CUBIC = lattice.get_preset("simple_cubic")
-DESIGN = ScalabilityParams()
+DESIGN = config.load_config(None).scalability()
 
 
 def check(number, description, ok, detail=""):
@@ -223,7 +223,7 @@ def test_criterion_10_cai_readout():
     omega_m = w1 / 20.0
     params = CAIParams(b1=w1 / (TWO_PI * 40e6), omega_m=omega_m,
                        excursion=2.0 * w1,
-                       duration=8 * TWO_PI / omega_m)
+                       duration=8 * TWO_PI / omega_m, gamma=TWO_PI * 40e6)
     assert params.adiabaticity == pytest.approx(10.0)
     res = mrfm.simulate_cai_readout(params)
     spec = np.abs(np.fft.rfft(res.iz))

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,7 @@ _REJECTED = [
 
 # Every key of the table, for the fuzz test: sections, keys with defaults,
 # the optional keys that have none, and one unknown key.
+_DEFAULT_CFG = config.load_config(None)
 _DEFAULTS = config.default_config()
 _SECTIONS = [k for k in _DEFAULTS if k != "schema_version"]
 _KEY_PATHS = (
@@ -192,12 +194,10 @@ class TestConfig:
                                      math.nan),
         lambda: magnet.PrismMagnet(1e-5, math.nan, 1e-5),
         lambda: magnet.PrismMagnet(1e-5, 1e-5, 1e-5, magnetization=math.nan),
-        lambda: mrfm.ScalabilityParams(B0=math.nan),
-        lambda: mrfm.ScalabilityParams(n=math.nan),
-        lambda: mrfm.CAIParams(b1=math.nan, omega_m=1.0, excursion=1.0,
-                               duration=1.0),
-        lambda: mrfm.CAIParams(b1=1e-4, omega_m=math.nan, excursion=1.0,
-                               duration=1.0),
+        lambda: replace(_DEFAULT_CFG.scalability(), B0=math.nan),
+        lambda: replace(_DEFAULT_CFG.scalability(), n=math.nan),
+        lambda: replace(_DEFAULT_CFG.cai(), b1=math.nan),
+        lambda: replace(_DEFAULT_CFG.cai(), omega_m=math.nan),
         lambda: mrfm.CantileverModel(1e-3, 5e3, math.nan, 4.0),
     ])
     def test_dataclasses_reject_nan(self, make):
@@ -366,8 +366,8 @@ class TestExitCodes:
 
     def test_schedule_splitting_overflow_leaves_no_output(self, tmp_path,
                                                           capsys):
-        cfg = write_cfg(tmp_path, _v1(scalability={
-            "grad_T_per_m": 1e300, "gamma_rad_per_s_T": 1e300}))
+        cfg = write_cfg(tmp_path, _v1(lattice={"gamma_rad_per_s_T": 1e300},
+                                      spin_system={"grad_T_per_m": 1e300}))
         out = tmp_path / "o"
         assert run(["schedule", "--config", cfg, "--out", str(out)]) == 2
         assert "delta_omega must be positive and finite" in \
@@ -429,6 +429,57 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, section, key", [
+        ("scalability", {"scalability": {"gamma_rad_per_s_T": 2.5e8}},
+         "gamma_rad_per_s_T"),
+        ("scalability", {"scalability": {"grad_T_per_m": 1.4e6}},
+         "grad_T_per_m"),
+        ("readout", {"readout": {"gamma_rad_per_s_T": 2.5e8}},
+         "gamma_rad_per_s_T"),
+        ("schedule", {"sequence": {"L": 16.0}}, "L"),
+        ("readout", {"readout": {"cantilever": {"bandwidth_Hz": 1.0}}},
+         "bandwidth_Hz"),
+    ], ids=["scalability-gamma", "scalability-grad", "readout-gamma",
+            "sequence-L", "cantilever-bandwidth"])
+    def test_copy_of_another_key_exits_2(self, tmp_path, capsys, command,
+                                         section, key):
+        # gamma comes from the lattice, the gradient from spin_system and
+        # L from scalability; the cantilever bandwidth was never read
+        cfg = write_cfg(tmp_path, _v1(**section))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, sections, code, message", [
+        ("scalability", {"scalability": {"copies_N": 1e-300}}, 2,
+         "gamma * hbar * N underflows to 0"),
+        ("scalability", {"lattice": {"gamma_rad_per_s_T": 1e-300}}, 2,
+         "gamma * hbar * N underflows to 0"),
+        ("schedule", {"lattice": {"a_m": 5e-324}}, 3,
+         "schedule_validation.json would hold a non-finite number"),
+        ("scalability", {"lattice": {"a_m": 5e-324}}, 3,
+         "scalability_summary.json would hold a non-finite number"),
+        ("schedule", {"scalability": {"L": 1.7e308}}, 3,
+         "schedule_validation.json would hold a non-finite number"),
+        ("scalability", {"scalability": {"L": 1.7e308}}, 3,
+         "scalability_summary.json would hold a non-finite number"),
+        ("readout",
+         {"readout": {"cantilever": {"spring_constant_N_per_m": 1.7e308}}}, 3,
+         "readout_summary.json would hold a non-finite number"),
+    ], ids=["copies-underflow", "gamma-underflow", "schedule-tiny-a",
+            "scalability-tiny-a", "schedule-huge-L", "scalability-huge-L",
+            "readout-stiff-cantilever"])
+    def test_non_finite_result_writes_nothing(self, tmp_path, capsys, command,
+                                              sections, code, message):
+        cfg = write_cfg(tmp_path, _v1(**sections))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out),
+                    "--format", "json"]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_scalability_bracket_failure_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,
@@ -438,7 +489,78 @@ class TestExitCodes:
                     "--out", str(tmp_path / "o")]) == 3
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def _strict_json(path):
+    return json.loads(path.read_text(), parse_constant=_refuse_constant)
+
+
 class TestOutputs:
+    def test_default_outputs_are_strict_json(self, tmp_path):
+        for command in cli._COMMANDS:
+            for fmt in ("csv", "json"):
+                out = tmp_path / f"{command}-{fmt}"
+                assert run([command, "--out", str(out), "--no-meta",
+                            "--format", fmt]) == 0
+                for path in sorted(out.glob("*.json")):
+                    _strict_json(path)
+
+    def test_undefined_values_are_null(self, tmp_path):
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"magnet-{fmt}"
+            assert run(["magnet", "--out", str(out), "--no-meta",
+                        "--format", fmt]) == 0
+        last = _strict_json(tmp_path / "magnet-json"
+                            / "magnet_splitting_profile.json")["rows"][-1]
+        assert last[3:] == [None, None]
+        csv_text = (tmp_path / "magnet-csv"
+                    / "magnet_splitting_profile.csv").read_text()
+        assert csv_text.endswith(",nan,nan\n")
+
+        cfg = write_cfg(tmp_path, _v1(readout={"excursion_rad_per_s": 1.0}))
+        out = tmp_path / "readout"
+        assert run(["readout", "--config", cfg, "--out", str(out),
+                    "--no-meta", "--format", "json"]) == 0
+        summary = _strict_json(out / "readout_summary.json")
+        assert summary["following_figure"] is None
+
+        cfg = write_cfg(tmp_path, _v1(magnet={"w_m": 5e-324}))
+        out = tmp_path / "flat"
+        assert run(["magnet", "--config", cfg, "--out", str(out),
+                    "--no-meta", "--format", "json"]) == 0
+        rep = _strict_json(out / "magnet_summary.json")["homogeneity"]
+        assert rep["plane_step_T"] == 0.0
+        assert rep["variation_fraction"] is None and rep["passed"] is False
+
+    @pytest.mark.parametrize("sections, budget, cycle_time, omega_1", [
+        ({"lattice": {"gamma_rad_per_s_T": 2.6752e8}},
+         8.0570, 1.1170e-3, 66880.0),
+        ({"spin_system": {"grad_T_per_m": 2.8e6}},
+         15.1387, 5.9450e-4, 62831.9),
+        ({"scalability": {"L": 32.0}}, 3.7847, 2.3780e-3, 62831.9),
+    ], ids=["gamma", "gradient", "L"])
+    def test_one_key_moves_every_model(self, tmp_path, sections, budget,
+                                       cycle_time, omega_1):
+        # at the defaults: 7.5694, 1.1890e-3 s and 62831.9 rad/s
+        cfg = write_cfg(tmp_path, _v1(**sections))
+        docs = {}
+        for command, name in (("scalability", "scalability_summary"),
+                              ("schedule", "schedule_validation"),
+                              ("readout", "readout_summary")):
+            out = tmp_path / command
+            assert run([command, "--config", cfg, "--out", str(out),
+                        "--no-meta"]) == 0
+            docs[command] = _strict_json(out / f"{name}.json")
+        assert docs["scalability"]["gate_budget"] == pytest.approx(
+            budget, rel=1e-4)
+        assert docs["schedule"]["cycle_time_model_s"] == pytest.approx(
+            cycle_time, rel=1e-4)
+        assert docs["scalability"]["cycle_time_s"] == pytest.approx(
+            cycle_time * 10**2 / 3**2, rel=1e-4)
+        assert docs["readout"]["omega_1_rad_per_s"] == pytest.approx(
+            omega_1, rel=1e-5)
     def test_lattice_outputs(self, tmp_path):
         out = tmp_path / "o"
         assert run(["lattice", "--out", str(out), "--no-meta"]) == 0
@@ -545,7 +667,7 @@ class TestOutputs:
 
     def test_gate_budget_follows_gradient(self, tmp_path):
         def summary(grad):
-            cfg = write_cfg(tmp_path, _v1(scalability={"grad_T_per_m": grad}))
+            cfg = write_cfg(tmp_path, _v1(spin_system={"grad_T_per_m": grad}))
             out = tmp_path / f"o{grad:g}"
             assert run(["scalability", "--config", cfg, "--out", str(out),
                         "--no-meta"]) == 0

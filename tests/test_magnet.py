@@ -215,6 +215,13 @@ class TestHomogeneity:
         assert rep.max_variation_t == 0.0
         assert rep.passed
 
+    def test_no_plane_step_is_undefined(self):
+        rep = magnet.plane_homogeneity(
+            linear_field(0.0), (0.0, 0.0, 0.0), 1e-7, 1e-7, 3.442e-10)
+        assert rep.plane_step_t == 0.0
+        assert rep.variation_fraction is None
+        assert not rep.passed
+
     def test_prism_report(self):
         rep = magnet.plane_homogeneity(
             PRISM_FIELD, (0.0, 0.0, 0.0), 2e-8, 2e-8, 3.442e-10, samples=5)

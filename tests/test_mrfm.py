@@ -9,10 +9,10 @@ import pytest
 from chainqc.constants import HBAR, KB, TWO_PI
 from chainqc.errors import ConfigError, ConvergenceError
 from chainqc import config, mrfm
-from chainqc.mrfm import CAIParams, CantileverModel, ScalabilityParams
+from chainqc.mrfm import CAIParams, CantileverModel
 
 
-DESIGN = ScalabilityParams()
+DESIGN = config.load_config(None).scalability()
 
 
 class TestMagnetization:
@@ -107,6 +107,11 @@ class TestMeasurableQubits:
         assert mrfm.required_field_over_temp(10, DESIGN) == pytest.approx(
             1.61, rel=0.01)
 
+    def test_copies_underflow_refused(self):
+        # ln(gamma * hbar * N) would be a math domain error
+        with pytest.raises(ConfigError, match="underflows"):
+            replace(DESIGN, N=1e-300)
+
     def test_bracket_failure(self):
         with pytest.raises(ConvergenceError):
             mrfm.required_field_over_temp(
@@ -115,7 +120,7 @@ class TestMeasurableQubits:
 
 class TestGateBudget:
     def test_splitting_follows_gradient(self):
-        assert DESIGN.delta_omega == mrfm.DEFAULT_GAMMA * 3.442e-10 * 1.4e6
+        assert DESIGN.delta_omega == TWO_PI * 40e6 * 3.442e-10 * 1.4e6
         doubled = replace(DESIGN, grad=2 * DESIGN.grad)
         assert doubled.delta_omega == 2 * DESIGN.delta_omega
         assert (mrfm.gate_budget(doubled).budget
@@ -149,6 +154,7 @@ def cai_params(adiabaticity=10.0, ratio=2.0, w1=TWO_PI * 10e3, periods=6):
         omega_m=omega_m,
         excursion=ratio * w1,
         duration=periods * TWO_PI / omega_m,
+        gamma=TWO_PI * 40e6,
     )
 
 
@@ -203,17 +209,13 @@ def stepwise_cai_readout(params, initial="up", steps_per_period=4000):
     if mask.any():
         following = float(np.min(np.abs(iz[mask]) / pred[mask]))
     else:
-        following = math.nan
+        following = None
     # Fourier amplitude at omega_m over the integer number of periods.
     phase = np.exp(-1j * params.omega_m * times)
     amp = 2.0 * abs(np.sum(iz * phase)) / n_steps
     return mrfm.CAIResult(times=times, iz=iz, detuning=det,
                           following_figure=following,
                           modulation_amplitude=amp, norm_drift=norm_drift)
-
-
-def _same_float(x, y):
-    return x == y or (math.isnan(x) and math.isnan(y))
 
 
 _DEFAULT_CAI = config.load_config(None).cai()
@@ -241,7 +243,7 @@ def test_cai_matches_stepwise_oracle_exactly(params, initial,
     for name in ("times", "iz", "detuning"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     for name in ("following_figure", "modulation_amplitude", "norm_drift"):
-        assert _same_float(getattr(got, name), getattr(ref, name)), name
+        assert getattr(got, name) == getattr(ref, name), name
 
 
 class TestCAI:
@@ -277,10 +279,15 @@ class TestCAI:
 
     def test_duration_must_be_integer_periods(self):
         p = cai_params()
-        bad = CAIParams(b1=p.b1, omega_m=p.omega_m, excursion=p.excursion,
-                        duration=p.duration * 1.1)
+        bad = replace(p, duration=p.duration * 1.1)
         with pytest.raises(ConfigError):
             mrfm.simulate_cai_readout(bad)
+
+    def test_following_undefined_without_prediction(self):
+        # an excursion far below omega_1 keeps the prediction under 0.1
+        p = replace(cai_params(periods=1), excursion=1.0)
+        res = mrfm.simulate_cai_readout(p, steps_per_period=100)
+        assert res.following_figure is None
 
     def test_excursion_warning(self):
         p = cai_params()
