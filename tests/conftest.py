@@ -1,4 +1,10 @@
-"""Shared fixtures and the acceptance-criteria terminal report."""
+"""Shared fixtures, hypothesis profiles and the acceptance-criteria report."""
+
+from hypothesis import settings
+
+# The dense-oracle properties (tests/test_dense_oracle.py) run 25 examples
+# each in tier-1; ``--hypothesis-profile=oracle-deep`` runs 300.
+settings.register_profile("oracle-deep", max_examples=300, deadline=None)
 
 # Populated by tests/test_acceptance.py: number -> (passed, description).
 ACCEPTANCE_RESULTS = {}

@@ -3,8 +3,12 @@
 The oracle is the original dense implementation: H summed from embedded
 single- and two-spin operators, one eigendecomposition per free window and
 per pulse, a finite pulse sampled with one eigendecomposition of H + Hd per
-sub-step, and the CNOT target as a product of projectors.  It is kept here
-only as a reference for registers of up to 8 spins.
+sub-step, the average Hamiltonian in a dense toggling frame, and the CNOT
+target as a product of projectors.  It is kept here only as a reference for
+registers of up to 8 spins.
+
+Each property runs 25 examples; ``--hypothesis-profile=oracle-deep``
+(registered in conftest.py) runs that profile's count instead.
 """
 
 import math
@@ -18,7 +22,9 @@ from chainqc.spinsys import ID2, SX, SY, SZ, QuantumState, single_spin_op
 
 FAP = lattice.get_preset("fluorapatite")
 LAM = 2.7214  # nearest-neighbour chain spacing of fluorapatite, units of a
-SETTINGS = settings(max_examples=25, deadline=None)
+SETTINGS = (settings.get_profile("oracle-deep")
+            if settings.get_current_profile_name() == "oracle-deep"
+            else settings(max_examples=25, deadline=None))
 
 
 # --- dense oracle -------------------------------------------------------------
@@ -125,6 +131,20 @@ def dense_evolve(pieces, data):
     return out
 
 
+def dense_average_hamiltonian(sys, seq):
+    """(1/T) sum_windows tau Urf^dag H Urf, with Urf the dense product of
+    the pulses applied before the window."""
+    H = dense_hamiltonian(sys)
+    Urf = np.eye(sys.dim, dtype=complex)
+    Hbar = np.zeros_like(Urf)
+    for t0, t1, ev in seq.segments():
+        if ev is None:
+            Hbar += (t1 - t0) * (Urf.conj().T @ H @ Urf)
+        else:
+            Urf = dense_pulse(sys, ev) @ Urf
+    return Hbar / seq.cycle_time
+
+
 def dense_cnot(sys, control, target):
     n = sys.total_spins
     eye = np.eye(sys.dim)
@@ -182,6 +202,34 @@ def sampled_schedules(draw, n_planes):
         ev = pulses.PulseEvent(t, draw(width),
                                draw(st.floats(1e-3, 2 * math.pi)),
                                draw(st.floats(0.0, 2 * math.pi)), draw(target))
+        events.append(ev)
+        t = ev.t_end
+    T = t + draw(st.floats(0.0, 2e-6))
+    return pulses.Sequence(tuple(events), cycle_time=T)
+
+
+@st.composite
+def repeated_sampled_schedules(draw, n_planes):
+    """A train of one pulse shape: one width and flip angle throughout.
+
+    Phases, start times and targets vary.  A WAHUHA-like train is all
+    broadband; a selective train draws a plane per pulse, the first two on
+    the same plane, so at least two pulses share a shape.
+    """
+    width = draw(st.floats(5e-8, 1e-6))
+    angle = draw(st.floats(1e-3, 2 * math.pi))
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        targets = ["broadband"] * n
+    else:
+        targets = draw(st.lists(st.integers(0, n_planes - 1),
+                                min_size=n, max_size=n))
+        targets[1] = targets[0]
+    events, t = [], 0.0
+    for target in targets:
+        t += draw(st.one_of(st.just(0.0), st.floats(0.0, 2e-6)))
+        ev = pulses.PulseEvent(t, width, angle,
+                               draw(st.floats(0.0, 2 * math.pi)), target)
         events.append(ev)
         t = ev.t_end
     T = t + draw(st.floats(0.0, 2e-6))
@@ -255,6 +303,22 @@ def test_propagator_and_evolve_match_dense(case, seed):
 @given(register_and_schedule(sampled_schedules), st.integers(0, 2**32 - 1))
 def test_sampled_pulses_match_dense_sampler(case, seed):
     check_against_dense(*case, "sampled", seed)
+
+
+@SETTINGS
+@given(register_and_schedule(repeated_sampled_schedules),
+       st.integers(0, 2**32 - 1))
+def test_repeated_pulse_shapes_match_dense_sampler(case, seed):
+    check_against_dense(*case, "sampled", seed)
+
+
+@SETTINGS
+@given(register_and_schedule())
+def test_average_hamiltonian_matches_dense_toggling_frame(case):
+    sys, seq = case
+    dense = dense_average_hamiltonian(sys, seq)
+    fast = spinsys.average_hamiltonian_0(sys, seq)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @SETTINGS

@@ -1,6 +1,7 @@
 """Exact spin dynamics: operators, Hamiltonians, propagation, fidelities."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -156,6 +157,16 @@ class TestQuantumState:
         assert a.fidelity_to(b) == pytest.approx(0.0)
 
 
+@pytest.fixture
+def exponents(monkeypatch):
+    """Exponents passed to spinsys._power_times: one per pulse operator."""
+    seen = []
+    power = spinsys._power_times
+    monkeypatch.setattr(spinsys, "_power_times",
+                        lambda A, p, B: seen.append(p) or power(A, p, B))
+    return seen
+
+
 class TestEvolution:
     def test_free_zz_phase_oracle(self):
         # analytic two-spin zz phases: exp(-i J t IzIz)
@@ -224,13 +235,21 @@ class TestEvolution:
         spinsys.evolve(sys, seq, QuantumState.all_plus_x(3))
         assert shapes == [(8, 8)]
 
-    @pytest.mark.parametrize("seq, n_finite", [
-        (pulses.wahuha(1e-6, 2e-7), 4),
+    @pytest.mark.parametrize("seq, n_shapes", [
+        (pulses.wahuha(1e-6, 2e-7), 1),
         (pulses.Sequence((pulses.PulseEvent(0.0, 1e-6, math.pi, 0.0, 1),),
                          cycle_time=1e-6), 1),
+        # two widths: two drive strengths and sub-steps
+        (pulses.Sequence((pulses.PulseEvent(0.0, 1e-6, math.pi, 0.0, 1),
+                          pulses.PulseEvent(1e-6, 5e-7, math.pi, 0.0, 1)),
+                         cycle_time=2e-6), 2),
+        # one (w1, dt) on two planes: one W, two pulse operators
+        (pulses.Sequence((pulses.PulseEvent(0.0, 1e-6, math.pi, 0.0, 1),
+                          pulses.PulseEvent(1e-6, 1e-6, math.pi, 0.0, 2)),
+                         cycle_time=2e-6), 1),
     ])
     def test_one_eigendecomposition_per_finite_pulse(self, monkeypatch, seq,
-                                                     n_finite):
+                                                     n_shapes):
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh",
@@ -238,7 +257,31 @@ class TestEvolution:
         sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
         spinsys.propagator(sys, seq, mode="sampled")
         has_free_window = seq.cycle_time > sum(e.duration for e in seq.events)
-        assert len(calls) == n_finite + has_free_window
+        assert len(calls) == n_shapes + has_free_window
+
+    def test_pulse_operator_only_where_it_saves_flops(self, exponents):
+        # WAHUHA at 3 spins: 10 sub-steps per pulse against 5 products to
+        # build (W D)^9 W, so a state vector (1 column) keeps its sub-steps
+        # and a d x d operand builds the operator once per walk
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
+        seq = pulses.wahuha(1e-6, 2e-7)
+        spinsys.evolve(sys, seq, QuantumState.all_plus_x(3), "sampled")
+        assert exponents == []
+        spinsys.evolve(sys, seq, QuantumState.maximally_mixed(3), "sampled")
+        assert exponents == [9]
+        spinsys.propagator(sys, seq, mode="sampled")
+        assert exponents == [9, 9]
+
+    def test_long_pulse_propagator_is_fast(self, exponents):
+        # about 10^5 sub-steps, built by binary powering in ~30 products
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
+        width = 1e5 / (20.0 * sys.offsets[-1])
+        ev = pulses.PulseEvent(0.0, width, math.pi, pulses.PHASE_X, 1)
+        seq = pulses.Sequence((ev,), cycle_time=width)
+        t0 = time.perf_counter()
+        spinsys.propagator(sys, seq, mode="sampled")
+        assert time.perf_counter() - t0 < 0.5
+        assert len(exponents) == 1 and exponents[0] >= 10**5 - 1
 
     def test_ideal_mode_rejects_finite_width(self):
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
