@@ -16,16 +16,19 @@ pi/2 = y).  With this convention the WAHUHA cycle scales offsets along
 
 Spin s is bit n-1-s of the computational-basis index (bit 0 = up,
 Iz = +1/2).  H is written straight from that bit table: a diagonal of
-offsets and zz terms plus the in-plane flip-flop entries.  Free evolution
-runs through one cached eigendecomposition of H per system, and an ideal
+offsets and zz terms plus the in-plane flip-flop entries.  H conserves each
+plane's Iz, so it is block diagonal over sectors of equal per-plane
+down-counts; free evolution runs block by block through one cached batched
+eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
-reshaped to (2,)*n.  A sampled (finite-width) pulse writes its drive from
-the same bit table.  Its sub-steps r_j W r_j^dag differ only by diagonal
-phases that advance by the same D each step, so the whole pulse is the
-sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag; the bracket is one
-operator per pulse shape, built by binary powering when that costs fewer
-flops than stepping the operand.  The average Hamiltonian keeps one 2x2
-toggling frame per spin.
+reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
+A sampled (finite-width) pulse writes its drive from the same bit table;
+the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
+differ only by diagonal phases that advance by the same D each step, so the
+whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag;
+the bracket is one operator per pulse shape, built by binary powering when
+that costs fewer flops than stepping the operand.  The average Hamiltonian
+keeps one 2x2 toggling frame per spin.
 """
 
 from __future__ import annotations
@@ -137,9 +140,40 @@ class SpinSystem:
         return 0.5 - _down_bits(self.total_spins)
 
     @functools.cached_property
-    def _eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V) with H = V diag(w) V^T, computed once per system."""
-        return np.linalg.eigh(self.hamiltonian())
+    def _plane_iz(self) -> np.ndarray:
+        """(dim, n_planes) table of each plane's Iz in each basis state."""
+        return self._iz_table.reshape(
+            self.dim, self.n_planes, self.n_chains).sum(axis=2)
+
+    @functools.cached_property
+    def _sector_blocks(self) -> list:
+        """H block by block, computed once per system.
+
+        H conserves each plane's Iz, so it has no entry between basis states
+        that differ in any plane's down-count; those counts label the
+        sectors.  Sectors of equal size b are stacked: one (rows, w, V) per
+        size, rows the (n_b, b) basis indices in ascending order and
+        H[rows_i][:, rows_i] = V_i diag(w_i) V_i^T from one batched eigh.
+        For b = 1 the sector's H entry is its eigenvalue and V is None.
+        """
+        base = self.n_chains + 1
+        key = ((self._plane_iz + 0.5 * self.n_chains)
+               @ base ** np.arange(self.n_planes)).astype(np.int64)
+        # not np.unique: it imports numpy.ma, a cost paid on every CLI call
+        order = np.argsort(key, kind="stable")
+        sizes = np.bincount(key)
+        sizes = sizes[sizes > 0]  # in key order, as argsort groups them
+        starts = np.cumsum(sizes) - sizes
+        H = self.hamiltonian()
+        blocks = []
+        for b in sorted(set(sizes.tolist())):
+            rows = order[starts[sizes == b][:, None] + np.arange(b)]
+            Hb = H[rows[:, :, None], rows[:, None, :]]
+            if b == 1:
+                blocks.append((rows, Hb[:, :, 0], None))
+            else:
+                blocks.append((rows, *np.linalg.eigh(Hb)))
+        return blocks
 
     def hamiltonian(self) -> np.ndarray:
         """Internal Hamiltonian (rad/s) in the plane-0 rotating frame.
@@ -152,7 +186,7 @@ class SpinSystem:
         sz = self._iz_table
         diag = np.zeros(self.dim)
         for p, w in enumerate(self.offsets):
-            diag += w * sz[:, self.plane_spins(p)].sum(axis=1)
+            diag += w * self._plane_iz[:, p]
         H = np.zeros((self.dim, self.dim))
         k = np.arange(self.dim)
         n = self.total_spins
@@ -320,19 +354,36 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
     )
 
 
-def _expm_herm(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for Hermitian H via eigendecomposition."""
+def _expm_real_sym(H: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) for real symmetric H, as two real products."""
     w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * w * t)) @ V.conj().T
+    return (V * np.cos(w * t)) @ V.T - 1j * ((V * np.sin(w * t)) @ V.T)
 
 
 def _free_step(sys: SpinSystem, t: float):
-    """X -> exp(-i H t) X in the eigenbasis of the system's cached H."""
-    w, V = sys._eigensystem
-    phase = np.exp(-1j * w * t)[:, None]
+    """X -> exp(-i H t) X, one unitary per sector of the system's H.
+
+    One-state sectors are one diagonal of phases over the whole of X, a
+    contiguous pass; each larger block's V_b exp(-i w_b t) V_b^T (sum b^3
+    per window) then overwrites its rows (sum b^2 m for m columns).
+    """
+    diag = np.ones(sys.dim, dtype=complex)
+    blocks = []
+    for rows, w, V in sys._sector_blocks:
+        phase = np.exp(-1j * w * t)
+        if V is None:
+            diag[rows[:, 0]] = phase[:, 0]
+        else:
+            U = (V * phase[:, None, :]) @ V.transpose(0, 2, 1)
+            blocks.append((rows, U))
+    diag = diag[:, None]
 
     def step(X):
-        return (V @ (phase * (V.T @ X.reshape(sys.dim, -1)))).reshape(X.shape)
+        Y = X.reshape(sys.dim, -1)
+        out = diag * Y
+        for rows, U in blocks:
+            out[rows] = U @ Y[rows]
+        return out.reshape(X.shape)
     return step
 
 
@@ -421,7 +472,7 @@ def _sampled_pulse_step(sys: SpinSystem, H: np.ndarray, event, cache: dict):
         Hp = H.copy()
         for b in range(sys.total_spins):
             Hp[k, k ^ (1 << b)] = -0.5 * w1  # -w1 Ix of the spin on bit b
-        W = cache[(w1, dt)] = _expm_herm(Hp, dt)
+        W = cache[(w1, dt)] = _expm_real_sym(Hp, dt)
     fz = sys._iz_table.sum(axis=1)
     pulse_shape = (w1, dt, wd, n_steps)
     cost = _power_cost(n_steps - 1)
@@ -495,7 +546,8 @@ def propagator(sys: SpinSystem, seq, mode: str = "ideal") -> Propagator:
 def expectation_iz_plane(sys: SpinSystem, state: QuantumState,
                          plane: int) -> float:
     """Sum of <Iz> over the chains of one plane."""
-    m = sys._iz_table[:, sys.plane_spins(plane)].sum(axis=1)
+    sys.plane_spins(plane)  # ConfigError when out of range
+    m = sys._plane_iz[:, plane]
     if state.kind == "pure":
         return float(m @ np.abs(state.data) ** 2)
     return float(m @ np.real(np.diag(state.data)))
@@ -506,7 +558,7 @@ def gate_fidelity(actual: Propagator, target: Propagator) -> float:
     if actual.dim != target.dim:
         raise ConfigError("propagator dimensions do not match")
     d = actual.dim
-    return float(abs(np.trace(target.matrix.conj().T @ actual.matrix)) / d)
+    return float(abs(np.vdot(target.matrix, actual.matrix)) / d)
 
 
 def diagonal_z_fidelity(U: np.ndarray):

@@ -163,9 +163,12 @@ def dense_cnot(sys, control, target):
 
 @st.composite
 def registers(draw, min_planes=1):
-    """Up to 4 planes x 2 chains, jittered positions, either same-plane form."""
-    n_planes = draw(st.integers(min_planes, 4))
-    n_chains = draw(st.integers(1, 2))
+    """Up to 3 chains and 8 spins, jittered positions, either same-plane form.
+
+    Three chains give sectors of 3 and 9 states.
+    """
+    n_chains = draw(st.integers(1, 3))
+    n_planes = draw(st.integers(min_planes, min(4, 8 // n_chains)))
     jitter = st.floats(-0.3, 0.3)
     positions = [(0.0, 0.0)] + [(c * LAM + draw(jitter), draw(jitter))
                                 for c in range(1, n_chains)]
@@ -272,6 +275,30 @@ def test_hamiltonian_matches_dense_and_conserves_plane_iz(sys):
     for p in range(sys.n_planes):
         M = plane_iz(sys, p)
         assert np.linalg.norm(H @ M - M @ H) <= 1e-12 * scale
+
+
+@SETTINGS
+@given(registers())
+def test_sector_blocks_partition_and_diagonalize_h(sys):
+    H = dense_hamiltonian(sys)
+    scale = np.linalg.norm(H)
+    mags = np.stack([np.diag(plane_iz(sys, p)).real
+                     for p in range(sys.n_planes)], axis=1)
+    sector = np.full(sys.dim, -1)
+    labels = []
+    for rows, w, V in sys._sector_blocks:
+        for r in rows:
+            assert np.all(sector[r] == -1)  # no state in two sectors
+            sector[r] = len(labels)
+            labels.append(tuple(mags[r[0]]))
+            assert np.all(mags[r] == mags[r[0]])
+        block = H[rows[:, :, None], rows[:, None, :]]
+        VwV = (w[:, :, None] if V is None
+               else (V * w[:, None, :]) @ V.transpose(0, 2, 1))
+        assert np.max(np.abs(VwV - block)) <= 1e-12 * scale
+    assert np.all(sector >= 0)  # every state in a sector
+    assert len(set(labels)) == len(labels)  # one per plane magnetization
+    assert np.all(H[sector[:, None] != sector[None, :]] == 0.0)
 
 
 def check_against_dense(sys, seq, mode, seed):
