@@ -17,8 +17,9 @@ pi/2 = y).  With this convention the WAHUHA cycle scales offsets along
 Spin s is bit n-1-s of the computational-basis index (bit 0 = up,
 Iz = +1/2).  H is written straight from that bit table: a diagonal of
 offsets and zz terms plus the in-plane flip-flop entries.  H conserves each
-plane's Iz, so it is block diagonal over sectors of equal per-plane
-down-counts; free evolution runs block by block through one cached batched
+plane's Iz (a full_dipolar pair across planes joins the two planes into one
+conserved group), so it is block diagonal over sectors of equal per-plane
+up-counts; free evolution runs block by block through one cached batched
 eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
 reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
@@ -149,16 +150,29 @@ class SpinSystem:
     def _sector_blocks(self) -> list:
         """H block by block, computed once per system.
 
-        H conserves each plane's Iz, so it has no entry between basis states
-        that differ in any plane's down-count; those counts label the
-        sectors.  Sectors of equal size b are stacked: one (rows, w, V) per
-        size, rows the (n_b, b) basis indices in ascending order and
-        H[rows_i][:, rows_i] = V_i diag(w_i) V_i^T from one batched eigh.
-        For b = 1 the sector's H entry is its eigenvalue and V is None.
+        Only a full_dipolar coupling moves Iz between spins, and it keeps
+        the pair's sum; so H conserves the total Iz of each group of planes
+        that such couplings join (each plane alone, for ``build_system``).
+        H has no entry between basis states that differ in any group's
+        up-count; those counts label the sectors.  Sectors of equal size b
+        are stacked: one (rows, w, V) per size, rows the (n_b, b) basis
+        indices in ascending order and H[rows_i][:, rows_i] =
+        V_i diag(w_i) V_i^T from one batched eigh.  For b = 1 the sector's
+        H entry is its eigenvalue and V is None.
         """
-        base = self.n_chains + 1
-        key = ((self._plane_iz + 0.5 * self.n_chains)
-               @ base ** np.arange(self.n_planes)).astype(np.int64)
+        group = list(range(self.n_planes))
+        for c in self.couplings:
+            if c.kind == "full_dipolar":
+                lo, hi = sorted((group[c.i // self.n_chains],
+                                 group[c.j // self.n_chains]))
+                group = [lo if g == hi else g for g in group]
+        up = self._plane_iz + 0.5 * self.n_chains
+        key = np.zeros(self.dim, dtype=np.int64)
+        radix = 1
+        for g in sorted(set(group)):
+            planes = [p for p in range(self.n_planes) if group[p] == g]
+            key += radix * up[:, planes].sum(axis=1).astype(np.int64)
+            radix *= self.n_chains * len(planes) + 1
         # not np.unique: it imports numpy.ma, a cost paid on every CLI call
         order = np.argsort(key, kind="stable")
         sizes = np.bincount(key)

@@ -11,6 +11,7 @@ Each property runs 25 examples; ``--hypothesis-profile=oracle-deep``
 (registered in conftest.py) runs that profile's count instead.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -178,6 +179,25 @@ def registers(draw, min_planes=1):
 
 
 @st.composite
+def hand_built_registers(draw):
+    """Any coupling table: each pair is zz, full_dipolar or uncoupled.
+
+    Unlike ``build_system``, a full_dipolar pair may join two planes.
+    """
+    n_chains = draw(st.integers(1, 2))
+    n_planes = draw(st.integers(1, 4))
+    offsets = tuple(draw(st.floats(-1e6, 1e6)) for _ in range(n_planes))
+    couplings = []
+    for i, j in itertools.combinations(range(n_planes * n_chains), 2):
+        kind = draw(st.sampled_from([None, "zz", "full_dipolar"]))
+        if kind:
+            couplings.append(
+                spinsys.Coupling(i, j, kind, draw(st.floats(-1e5, 1e5))))
+    return spinsys.SpinSystem(n_planes, ((0.0, 0.0),) * n_chains, offsets,
+                              tuple(couplings))
+
+
+@st.composite
 def schedules(draw, n_planes):
     """Random ideal pulses (plane or broadband) over a 1-20 us cycle."""
     T = draw(st.floats(1e-6, 2e-5))
@@ -324,6 +344,12 @@ def check_against_dense(sys, seq, mode, seed):
 @given(register_and_schedule(), st.integers(0, 2**32 - 1))
 def test_propagator_and_evolve_match_dense(case, seed):
     check_against_dense(*case, "ideal", seed)
+
+
+@SETTINGS
+@given(hand_built_registers(), st.data(), st.integers(0, 2**32 - 1))
+def test_any_coupling_table_matches_dense(sys, data, seed):
+    check_against_dense(sys, data.draw(schedules(sys.n_planes)), "ideal", seed)
 
 
 @SETTINGS

@@ -83,6 +83,21 @@ class TestSpinSystem:
         up_up[0] = 1.0
         assert up_up @ H @ up_up == pytest.approx(1.0)
 
+    def test_full_dipolar_across_planes_evolves_exactly(self):
+        # the flip-flop joins the two planes into one sector group, so free
+        # evolution keeps the |01> <-> |10> mixing of exp(-i H t)
+        sys = SpinSystem(2, ((0.0, 0.0),), (0.0, 3.0),
+                         (Coupling(0, 1, "full_dipolar", 4.0),))
+        t = 0.7
+        w, V = np.linalg.eigh(sys.hamiltonian())
+        expected = (V * np.exp(-1j * w * t)) @ V.T
+        seq = pulses.Sequence((), cycle_time=t)
+        U = spinsys.propagator(sys, seq).matrix
+        assert abs(U[1, 2]) > 0.1
+        assert np.max(np.abs(U - expected)) < 1e-12
+        psi = spinsys.evolve(sys, seq, QuantumState.all_plus_x(2))[-1][1].data
+        assert np.max(np.abs(psi - expected @ np.full(4, 0.5))) < 1e-12
+
 
 class TestBuildSystem:
     def test_coupling_coefficients(self):
