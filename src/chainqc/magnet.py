@@ -70,11 +70,6 @@ class PrismMagnet:
         r = np.asarray(r, dtype=float)
         return ((lo <= r) & (r <= hi)).all(axis=-1)
 
-    @property
-    def moment(self) -> float:
-        """Total magnetic moment (A*m^2)."""
-        return self.magnetization * self.w * self.h * self.d
-
 
 @dataclass(frozen=True)
 class FieldSample:

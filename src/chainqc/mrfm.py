@@ -24,7 +24,6 @@ __all__ = [
     "CAIParams",
     "CAIResult",
     "effective_pure_magnetization",
-    "high_temp_magnetization",
     "readout_force",
     "thermal_force_noise",
     "force_at_n",
@@ -150,12 +149,6 @@ def effective_pure_magnetization(p: ScalabilityParams) -> float:
     ln_m = (math.log(p.gamma * HBAR * p.N) - p.n * math.log(2.0)
             + _log_sinh(p.n * x) - p.n * _log_cosh(x))
     return math.exp(ln_m)
-
-
-def high_temp_magnetization(p: ScalabilityParams) -> float:
-    """High-temperature limit (gamma^2 hbar^2 B0 / 2 kB T) * N * n * 2^-n."""
-    return (p.gamma**2 * HBAR**2 * p.B0 / (2.0 * KB * p.temperature)
-            * p.N * p.n * math.exp(-p.n * math.log(2.0)))
 
 
 def readout_force(mz: float, grad: float) -> float:

@@ -29,7 +29,7 @@ differ only by diagonal phases that advance by the same D each step, so the
 whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag;
 the bracket is one operator per pulse shape, built by binary powering when
 that costs fewer flops than stepping the operand.  The average Hamiltonian
-keeps one 2x2 toggling frame per spin.
+keeps one 3x3 rotation per plane and is written out by H's own writer.
 """
 
 from __future__ import annotations
@@ -94,6 +94,11 @@ class Coupling(NamedTuple):
     coeff: float        # rad/s
 
 
+# D of each coupling kind: the coupling is coeff * sum_ab D[a, b] I_i^a I_j^b
+_KIND_TENSOR = {"zz": np.diag([0.0, 0.0, 1.0]),
+                "full_dipolar": np.diag([-0.5, -0.5, 1.0])}
+
+
 @dataclass(frozen=True)
 class SpinSystem:
     n_planes: int
@@ -102,13 +107,23 @@ class SpinSystem:
     couplings: tuple[Coupling, ...]
 
     def __post_init__(self):
-        if self.total_spins > MAX_SPINS:
-            raise ConfigError(
-                f"{self.total_spins} spins exceeds the cap of {MAX_SPINS}")
+        n = self.total_spins
+        if n > MAX_SPINS:
+            raise ConfigError(f"{n} spins exceeds the cap of {MAX_SPINS}")
         if len(self.offsets) != self.n_planes:
             raise ConfigError("need one offset per plane")
+        if not all(math.isfinite(w) for w in self.offsets):
+            raise ConfigError("plane offsets must be finite")
         seen = set()
         for c in self.couplings:
+            if not (0 <= c.i < n and 0 <= c.j < n):
+                raise ConfigError(f"coupling ({c.i}, {c.j}) names a spin "
+                                  f"outside 0..{n - 1}")
+            if c.kind not in _KIND_TENSOR:
+                raise ConfigError(f"unknown coupling kind {c.kind!r}")
+            if not math.isfinite(c.coeff):
+                raise ConfigError(f"coupling ({c.i}, {c.j}) has a non-finite "
+                                  f"coefficient")
             if c.i == c.j:
                 raise ConfigError("self-coupling in coupling table")
             if (min(c.i, c.j), max(c.i, c.j)) in seen:
@@ -189,31 +204,50 @@ class SpinSystem:
                 blocks.append((rows, *np.linalg.eigh(Hb)))
         return blocks
 
-    def hamiltonian(self) -> np.ndarray:
-        """Internal Hamiltonian (rad/s) in the plane-0 rotating frame.
+    def _terms(self):
+        """H as _bit_operator's fields (offsets along z) and tensors."""
+        fields = np.outer(self.offsets, [0.0, 0.0, 1.0])
+        return fields, [c.coeff * _KIND_TENSOR[c.kind] for c in self.couplings]
 
-        Real symmetric: offsets and c Iz_i Iz_j on the diagonal, and for a
-        full_dipolar pair the flip-flop entries -c/4 between basis states
-        that differ by swapping its two (unequal) bits, which is
-        (1/2) c (3 Iz Iz - I.I) written out.
+    def hamiltonian(self) -> np.ndarray:
+        """Internal Hamiltonian (rad/s) in the plane-0 rotating frame,
+        written by _bit_operator from _terms(): real symmetric, offsets and
+        c Iz_i Iz_j on the diagonal, and -c/4 between the basis states that
+        swap the unequal bits of a full_dipolar pair (its flip-flop).
         """
-        sz = self._iz_table
-        diag = np.zeros(self.dim)
-        for p, w in enumerate(self.offsets):
-            diag += w * self._plane_iz[:, p]
-        H = np.zeros((self.dim, self.dim))
-        k = np.arange(self.dim)
-        n = self.total_spins
-        for c in self.couplings:
-            if c.kind not in ("zz", "full_dipolar"):
-                raise ConfigError(f"unknown coupling kind {c.kind!r}")
-            diag += c.coeff * sz[:, c.i] * sz[:, c.j]
-            if c.kind == "full_dipolar":
-                rows = k[sz[:, c.i] != sz[:, c.j]]
-                mask = (1 << (n - 1 - c.i)) | (1 << (n - 1 - c.j))
-                H[rows, rows ^ mask] = -0.25 * c.coeff
-        H[k, k] = diag
-        return H
+        return _bit_operator(self, *self._terms())
+
+
+def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
+    """sum_p v_p . F_p + sum_c I_i^T M_c I_j, written from the bit table.
+
+    fields[p] = v_p acts on plane p's total spin F_p, tensors[c] = M_c on
+    the pair of sys.couplings[c].  Iz is the diagonal sz; Ix and Iy flip the
+    spin, <k ^ bit|Ix|k> = 1/2 and <k ^ bit|Iy|k> = i sz[k].  Real when
+    every entry is, as for H.
+    """
+    sz, k = sys._iz_table, np.arange(sys.dim)
+    bit = 1 << np.arange(sys.total_spins)[::-1]
+
+    def xy(s, vx, vy):  # vx Ix + vy Iy on spin s, by column
+        return 0.5 * vx + 1j * vy * sz[:, s]
+    diag = np.zeros(sys.dim)
+    flips = []  # (flipped bits, entries by column)
+    for p, v in enumerate(fields):
+        diag += v[2] * sys._plane_iz[:, p]
+        flips += [(bit[s], xy(s, *v[:2])) for s in sys.plane_spins(p)]
+    for (i, j, *_), M in zip(sys.couplings, tensors):
+        diag += M[2, 2] * sz[:, i] * sz[:, j]
+        flips += [(bit[j], sz[:, i] * xy(j, *M[2, :2])),
+                  (bit[i], sz[:, j] * xy(i, *M[:2, 2])),
+                  (bit[i] | bit[j], xy(i, xy(j, *M[0, :2]), xy(j, *M[1, :2])))]
+    flips = [(m, e) for m, e in flips if np.any(e)]  # H: flip-flops only
+    real = not any(np.any(e.imag) for _, e in flips)
+    H = np.zeros((sys.dim, sys.dim), dtype=float if real else complex)
+    H[k, k] = diag
+    for m, e in flips:
+        H[k ^ m, k] += e.real if real else e
+    return H
 
 
 class QuantumState:
@@ -268,11 +302,6 @@ class QuantumState:
         plus = (UP + DOWN) / math.sqrt(2.0)
         return cls.product([plus] * n_spins)
 
-    @classmethod
-    def maximally_mixed(cls, n_spins: int) -> "QuantumState":
-        d = 2 ** n_spins
-        return cls.density(np.eye(d) / d)
-
     def apply(self, U: np.ndarray) -> "QuantumState":
         out = self._stepped(functools.partial(np.matmul, U))
         return QuantumState(out.kind, out.data)
@@ -292,16 +321,6 @@ class QuantumState:
             rho = 0.5 * (rho + rho.conj().T)
             out.data = rho / np.trace(rho).real
         return out
-
-    def expectation(self, op: np.ndarray) -> float:
-        if self.kind == "pure":
-            return float(np.real(self.data.conj() @ op @ self.data))
-        return float(np.real(np.trace(op @ self.data)))
-
-    def fidelity_to(self, other: "QuantumState") -> float:
-        if self.kind == "pure" and other.kind == "pure":
-            return float(abs(np.vdot(other.data, self.data)) ** 2)
-        raise ConfigError("fidelity_to implemented for pure states only")
 
 
 @dataclass(frozen=True)
@@ -401,21 +420,6 @@ def _free_step(sys: SpinSystem, t: float):
     return step
 
 
-def _local_step(rotations: dict):
-    """X -> (product of local rotations) X.
-
-    ``rotations`` maps spin s to a 2**k x 2**k matrix acting on spins
-    s .. s+k-1 (k = 1 for a single-spin rotation); X is viewed as
-    (2**s, 2**k, rest) so that its middle axis is those spins.
-    """
-    def step(X):
-        shape = X.shape
-        for s, r in rotations.items():
-            X = (r @ X.reshape(1 << s, len(r), -1)).reshape(shape)
-        return X
-    return step
-
-
 def _pulse_rotation(sys: SpinSystem, event):
     """(target spins, r) of an ideal pulse, with
     r = exp(+i theta/2 (cos(phi) sx + sin(phi) sy)) on each target."""
@@ -432,7 +436,13 @@ def _pulse_rotation(sys: SpinSystem, event):
 def _pulse_step(sys: SpinSystem, event):
     """X -> U X for an ideal pulse: a 2x2 rotation on each target spin."""
     spins, r = _pulse_rotation(sys, event)
-    return _local_step({s: r for s in spins})
+
+    def step(X):
+        shape = X.shape
+        for s in spins:  # X as (2**s, 2, rest): the middle axis is spin s
+            X = (r @ X.reshape(1 << s, 2, -1)).reshape(shape)
+        return X
+    return step
 
 
 def _power_cost(p: int) -> int:
@@ -451,7 +461,7 @@ def _power_times(A: np.ndarray, p: int, B: np.ndarray) -> np.ndarray:
     return B
 
 
-def _sampled_pulse_step(sys: SpinSystem, H: np.ndarray, event, cache: dict):
+def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     """X -> U X for a finite pulse: a rotating-wave drive on every spin.
 
     The drive oscillates at the target plane's offset wd (0 for broadband),
@@ -482,11 +492,10 @@ def _sampled_pulse_step(sys: SpinSystem, H: np.ndarray, event, cache: dict):
         raise ConfigError("sampled-pulse step underflow")
     W = cache.get((w1, dt))
     if W is None:
-        k = np.arange(sys.dim)
-        Hp = H.copy()
-        for b in range(sys.total_spins):
-            Hp[k, k ^ (1 << b)] = -0.5 * w1  # -w1 Ix of the spin on bit b
-        W = cache[(w1, dt)] = _expm_real_sym(Hp, dt)
+        fields, tensors = sys._terms()
+        fields[:, 0] = -w1  # H - w1 Fx
+        W = cache[(w1, dt)] = _expm_real_sym(
+            _bit_operator(sys, fields, tensors), dt)
     fz = sys._iz_table.sum(axis=1)
     pulse_shape = (w1, dt, wd, n_steps)
     cost = _power_cost(n_steps - 1)
@@ -522,7 +531,6 @@ def _walk(sys: SpinSystem, seq, mode: str):
     if mode == "ideal" and any(e.duration > 0 for e in seq.events):
         raise ConfigError("ideal mode takes only zero-width pulses; "
                           "finite widths need mode='sampled'")
-    H = sys.hamiltonian() if mode == "sampled" else None
     cache = {}
     for t0, t1, ev in seq.segments():
         if ev is None:
@@ -530,7 +538,7 @@ def _walk(sys: SpinSystem, seq, mode: str):
         elif ev.duration == 0.0:
             yield t1, _pulse_step(sys, ev)
         else:
-            yield t1, _sampled_pulse_step(sys, H, ev, cache)
+            yield t1, _sampled_pulse_step(sys, ev, cache)
 
 
 def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
@@ -600,55 +608,39 @@ def diagonal_z_fidelity(U: np.ndarray):
     return fid, phases
 
 
-# Spins per toggling-frame block.  Each block is one pass over a window's
-# d x d array at 2**k multiply-adds per entry; one pass per spin is bound by
-# memory traffic; blocks of 4 take about a quarter less time at 8 spins on a
-# 2-core x86-64 host with one BLAS thread.
-_FRAME_BLOCK = 4
-
-
-def _frame_blocks(frames: dict, n_spins: int) -> dict:
-    """U^dag for per-spin frames u_s, as {first spin: block} for _local_step.
-
-    A block is the u_s^dag of up to _FRAME_BLOCK adjacent spins applied to
-    an identity; spins without a frame are left out.
-    """
-    blocks = {}
-    for g in range(0, n_spins, _FRAME_BLOCK):
-        k = min(_FRAME_BLOCK, n_spins - g)
-        dags = {s - g: u.conj().T for s, u in frames.items() if g <= s < g + k}
-        if dags:
-            blocks[g] = _local_step(dags)(np.eye(1 << k, dtype=complex))
-    return blocks
-
-
 def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
     """Zeroth-order average Hamiltonian of an ideal-pulse cycle.
 
-    Computed in the toggling frame of the accumulated pulse unitaries:
-    Hbar = (1/T) sum_windows tau_j U_j^dag H U_j with U_j the product of the
-    pulses applied before window j.  Every ideal pulse is a product of
-    single-spin rotations, so U_j is kept as one 2x2 frame per pulsed spin,
-    and U_j^dag H U_j is those frames applied along the spin axes on both
-    sides, in blocks of _FRAME_BLOCK spins: O(n d^2) per window.
+    Hbar = (1/T) sum_w tau_w U_w^dag H U_w, U_w the pulses before window w.
+    An ideal pulse rotates all spins of a plane alike, so U_w^dag I^a U_w =
+    sum_b R_p(w)[a, b] I^b, and Hbar is written like H, by _bit_operator,
+    from plane fields w_p sum_w (tau_w/T) R_p^T e_z and, for a coupling
+    c D between planes p and q, c G[p, q] with
+    G[p, q] = sum_w (tau_w/T) R_p^T D R_q: one contraction over windows.
     """
     T = seq.cycle_time
     if T <= 0:
         raise ConfigError("cycle time must be positive")
-    for ev in seq.events:
-        if ev.duration != 0.0:
-            raise ConfigError(
-                "average_hamiltonian_0 requires instantaneous pulses")
-    H = sys.hamiltonian()
-    frames = {}
-    Hbar = np.zeros((sys.dim, sys.dim), dtype=complex)
+    if any(ev.duration != 0.0 for ev in seq.events):
+        raise ConfigError(
+            "average_hamiltonian_0 requires instantaneous pulses")
+    S = np.array([SX, SY, SZ])
+    R = np.tile(np.eye(3), (sys.n_planes, 1, 1))
+    taus, frames = [], []
     for t0, t1, ev in seq.segments():
         if ev is None:
-            to_frame = _local_step(_frame_blocks(frames, sys.total_spins))
-            Hbar += (t1 - t0) * to_frame(to_frame(H).conj().T)  # U^dag H U
+            taus.append((t1 - t0) / T)
+            frames.append(R.copy())
         else:
             spins, r = _pulse_rotation(sys, ev)
-            for s in spins:
-                frames[s] = r @ frames.get(s, ID2)
-    Hbar /= T
-    return 0.5 * (Hbar + Hbar.conj().T)
+            planes = sorted({s // sys.n_chains for s in spins})
+            # r^dag I^a r = sum_b adj[a, b] I^b, as Tr(I^a I^b) = delta_ab / 2
+            adj = 2 * np.einsum("ji,ajk,kl,bli->ab", r.conj(), S, r, S).real
+            R[planes] = adj @ R[planes]
+    tau, R = np.array(taus), np.array(frames)  # R: (window, plane, 3, 3)
+    fields = np.einsum("w,p,wpb->pb", tau, sys.offsets, R[:, :, 2])
+    G = {kind: np.einsum("w,wpai,ab,wqbj->pqij", tau, R, D, R, optimize=True)
+         for kind, D in _KIND_TENSOR.items()}
+    nc = sys.n_chains
+    return _bit_operator(sys, fields, [
+        c.coeff * G[c.kind][c.i // nc, c.j // nc] for c in sys.couplings])

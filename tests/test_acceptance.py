@@ -19,7 +19,7 @@ from chainqc.magnet import PrismMagnet
 from chainqc.mrfm import CAIParams
 from chainqc.spinsys import Coupling, SpinSystem, SX, SY, SZ, single_spin_op
 
-from test_magnet import bz_quadrature, exterior_points
+from test_magnet import bz_quadrature, exterior_points, moment
 
 
 FAP = lattice.get_preset("fluorapatite")
@@ -207,7 +207,7 @@ def test_criterion_9_magnetostatics_oracles():
             gref = max(np.max(np.abs(g)), 1e-3)
             worst_g = max(worst_g, abs(g[ax] - fd) / gref)
     r = 55 * 10e-6
-    dip = MU0 * mag.moment / (4 * math.pi) * 2.0 / r**3
+    dip = MU0 * moment(mag) / (4 * math.pi) * 2.0 / r**3
     far = magnet.bz_at(mag, np.array(mag.center) + np.array([0, 0, r]))
     far_ok = abs(far - dip) <= 0.01 * abs(dip)
     ok = worst_bz < 1e-6 and worst_g < 1e-6 and far_ok

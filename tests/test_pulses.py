@@ -20,6 +20,8 @@ from chainqc.pulses import (
 )
 from chainqc.spinsys import QuantumState, SpinSystem
 
+from test_spinsys import fidelity
+
 
 FAP = lattice.get_preset("fluorapatite")
 
@@ -260,7 +262,7 @@ class TestCompileCnot:
                 out_state = st.apply(U)
                 want = (cbit, tbit ^ cbit)
                 expect = self._basis_state(want)
-                assert out_state.fidelity_to(expect) == pytest.approx(
+                assert fidelity(out_state, expect) == pytest.approx(
                     1.0, abs=1e-9)
 
     def test_fidelity_isolated(self):
