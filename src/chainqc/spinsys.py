@@ -232,19 +232,21 @@ def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
     def xy(s, vx, vy):  # vx Ix + vy Iy on spin s, by column
         return 0.5 * vx + 1j * vy * sz[:, s]
     diag = np.zeros(sys.dim)
-    flips = []  # (flipped bits, entries by column)
+    flips = [(0, diag)]  # (flipped bits, entries by column); 0 flips none
     for p, v in enumerate(fields):
         diag += v[2] * sys._plane_iz[:, p]
-        flips += [(bit[s], xy(s, *v[:2])) for s in sys.plane_spins(p)]
+        if v[:2].any():
+            flips += [(bit[s], xy(s, *v[:2])) for s in sys.plane_spins(p)]
     for (i, j, *_), M in zip(sys.couplings, tensors):
         diag += M[2, 2] * sz[:, i] * sz[:, j]
-        flips += [(bit[j], sz[:, i] * xy(j, *M[2, :2])),
-                  (bit[i], sz[:, j] * xy(i, *M[:2, 2])),
-                  (bit[i] | bit[j], xy(i, xy(j, *M[0, :2]), xy(j, *M[1, :2])))]
-    flips = [(m, e) for m, e in flips if np.any(e)]  # H: flip-flops only
+        for a, b, v in ((i, j, M[2, :2]), (j, i, M[:2, 2])):  # Iz_a v.I_b
+            if v.any():
+                flips.append((bit[b], sz[:, a] * xy(b, *v)))
+        if M[:2, :2].any():  # H: full_dipolar flip-flops only
+            flips.append((bit[i] | bit[j],
+                          xy(i, xy(j, *M[0, :2]), xy(j, *M[1, :2]))))
     real = not any(np.any(e.imag) for _, e in flips)
     H = np.zeros((sys.dim, sys.dim), dtype=float if real else complex)
-    H[k, k] = diag
     for m, e in flips:
         H[k ^ m, k] += e.real if real else e
     return H
@@ -622,22 +624,20 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
     if T <= 0:
         raise ConfigError("cycle time must be positive")
     if any(ev.duration != 0.0 for ev in seq.events):
-        raise ConfigError(
-            "average_hamiltonian_0 requires instantaneous pulses")
+        raise ConfigError("average_hamiltonian_0 needs instantaneous pulses")
     S = np.array([SX, SY, SZ])
     R = np.tile(np.eye(3), (sys.n_planes, 1, 1))
-    taus, frames = [], []
+    windows = []  # (tau_w / T, R at window w)
     for t0, t1, ev in seq.segments():
         if ev is None:
-            taus.append((t1 - t0) / T)
-            frames.append(R.copy())
+            windows.append(((t1 - t0) / T, R.copy()))
         else:
-            spins, r = _pulse_rotation(sys, ev)
-            planes = sorted({s // sys.n_chains for s in spins})
+            _, r = _pulse_rotation(sys, ev)
+            planes = slice(None) if ev.target == "broadband" else ev.target
             # r^dag I^a r = sum_b adj[a, b] I^b, as Tr(I^a I^b) = delta_ab / 2
             adj = 2 * np.einsum("ji,ajk,kl,bli->ab", r.conj(), S, r, S).real
             R[planes] = adj @ R[planes]
-    tau, R = np.array(taus), np.array(frames)  # R: (window, plane, 3, 3)
+    tau, R = map(np.array, zip(*windows))  # R: (window, plane, 3, 3)
     fields = np.einsum("w,p,wpb->pb", tau, sys.offsets, R[:, :, 2])
     G = {kind: np.einsum("w,wpai,ab,wqbj->pqij", tau, R, D, R, optimize=True)
          for kind, D in _KIND_TENSOR.items()}

@@ -15,7 +15,7 @@ import itertools
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chainqc import lattice, pulses, spinsys
 from chainqc.errors import ConfigError
@@ -178,15 +178,6 @@ def registers(draw, min_planes=1):
                                 include_same_plane=draw(st.booleans()))
 
 
-def rates(bound):
-    """Rates (rad/s) in [-bound, bound] that are 0 or at least 1e-3 in size.
-
-    Smaller rates put Hbar in float64's subnormal range, where the oracle's
-    tau * H keeps fewer bits than a relative tolerance of 1e-12 asks for.
-    """
-    return st.floats(-bound, bound).filter(lambda x: x == 0 or abs(x) >= 1e-3)
-
-
 @st.composite
 def hand_built_registers(draw):
     """Any coupling table: each pair is zz, full_dipolar or uncoupled.
@@ -195,13 +186,13 @@ def hand_built_registers(draw):
     """
     n_chains = draw(st.integers(1, 2))
     n_planes = draw(st.integers(1, 4))
-    offsets = tuple(draw(rates(1e6)) for _ in range(n_planes))
+    offsets = tuple(draw(st.floats(-1e6, 1e6)) for _ in range(n_planes))
     couplings = []
     for i, j in itertools.combinations(range(n_planes * n_chains), 2):
         kind = draw(st.sampled_from([None, "zz", "full_dipolar"]))
         if kind:
             couplings.append(
-                spinsys.Coupling(i, j, kind, draw(rates(1e5))))
+                spinsys.Coupling(i, j, kind, draw(st.floats(-1e5, 1e5))))
     return spinsys.SpinSystem(n_planes, ((0.0, 0.0),) * n_chains, offsets,
                               tuple(couplings))
 
@@ -374,24 +365,26 @@ def test_repeated_pulse_shapes_match_dense_sampler(case, seed):
     check_against_dense(*case, "sampled", seed)
 
 
-def check_average_hamiltonian(sys, seq):
-    """average_hamiltonian_0 matches the oracle to 1e-12 of max|Hbar|."""
+@SETTINGS
+@given(register_and_schedule())
+def test_average_hamiltonian_matches_dense_toggling_frame(case):
+    sys, seq = case
     dense = dense_average_hamiltonian(sys, seq)
     fast = spinsys.average_hamiltonian_0(sys, seq)
     assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @SETTINGS
-@given(register_and_schedule())
-def test_average_hamiltonian_matches_dense_toggling_frame(case):
-    check_average_hamiltonian(*case)
-
-
-@SETTINGS
 @given(hand_built_registers(), st.data())
 def test_any_coupling_table_average_hamiltonian_matches_dense(sys, data):
     # a full_dipolar pair across planes couples two different plane frames
-    check_average_hamiltonian(sys, data.draw(schedules(sys.n_planes)))
+    seq = data.draw(schedules(sys.n_planes))
+    dense = dense_average_hamiltonian(sys, seq)
+    # Under ~1e-290 rad/s the oracle's tau * H nears float64's subnormals
+    # (below 2.2e-308), which keep fewer bits than 1e-12 relative needs.
+    assume(np.max(np.abs(dense)) >= 1e-290)
+    fast = spinsys.average_hamiltonian_0(sys, seq)
+    assert np.max(np.abs(fast - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 @SETTINGS
