@@ -198,9 +198,7 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
 
 def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("sequence")
-    p = cfg.scalability()
-    n = s["n_planes"]
-    pair = tuple(s["recouple"]) if "recouple" in s else None
+    pair = s.get("recouple")
     if args.recouple is not None:
         try:
             i, j = (int(x) for x in args.recouple.split(","))
@@ -209,22 +207,19 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
                 "--recouple expects two comma-separated integers") from None
         pair = (i, j)
     bb = pulses.wahuha(s["tau_s"], s["pulse_width_s"])
-    m = pulses.hadamard_sign_matrix(n)
-    degraded = []
+    m = pulses.hadamard_sign_matrix(s["n_planes"])
+    degraded = ()
     if pair is not None:
-        i, j = pair
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ConfigError(f"recouple pair {pair} invalid for n={n}")
         rec = pulses.recouple(m, pair)
         m = rec.matrix
-        degraded = list(rec.degraded_pairs)
+        degraded = rec.degraded_pairs
     sel = pulses.decoupling_schedule(m, s["slot_s"], s["pi_width_s"])
     merged = pulses.interleave(bb, sel)
-    em.table("schedule_timeline",
-             ["t_start_s", "duration_s", "flip_angle_rad", "phase_rad",
-              "target"],
-             [[e.t_start, e.duration, e.flip_angle, e.phase, str(e.target)]
-              for e in merged.events])
+    header, *rows = pulses.sequence_to_csv_rows(merged)
+    em.table("schedule_timeline", header, rows)
+    grad = cfg.section("spin_system")["grad_T_per_m"]
+    t_c = mrfm.cycle_time_model(m.n, cfg.section("scalability")["L"],
+                                lattice.splitting(cfg.lattice(), grad))
     em.document("schedule_validation", {
         "valid": True,
         "n_planes": m.n,
@@ -234,8 +229,7 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
         "effective_coupling_scales": m.scales.tolist(),
         "recoupled_pair": list(pair) if pair else None,
         "degraded_pairs": [[i, j, sc] for i, j, sc in degraded],
-        "cycle_time_model_s": pulses.cycle_time_model(m.n, p.L,
-                                                      p.delta_omega),
+        "cycle_time_model_s": t_c,
     })
     em.text("schedule.json", pulses.sequence_to_json(merged))
     if args.verbose:

@@ -31,6 +31,8 @@ MAX_PLANE_SEPARATION = 10_000      # lattice rows
 MAX_MAGNET_PLANES = 10_000         # splitting-table rows
 MAX_HOMOGENEITY_SAMPLES = 1001     # per side of the field grid
 MAX_SEQUENCE_PLANES = 64           # Hadamard rows of a schedule
+MAX_N_GRID = 1000                  # scalability-curve rows
+MAX_T2_GRID = 32                   # gate-budget columns per row
 
 # The config table: every key appears once, as ``key: (check, default)``, and
 # a nested dict is a section.  A check takes (value, path) and returns the
@@ -71,10 +73,12 @@ def _enum(*values):
 
 def _array(item, lo: int, hi: float = math.inf):
     """A list of lo..hi elements, each passing the check ``item``."""
-    size = str(lo) if hi == lo else f"at least {lo}"
+    size = (str(lo) if hi == lo else f"at least {lo}" if hi == math.inf
+            else f"{lo} to {hi}")
     def check(x, path):
         if not isinstance(x, list) or not lo <= len(x) <= hi:
-            _fail(path, f"expected an array of {size} items, got {x!r}")
+            got = len(x) if isinstance(x, list) else repr(x)
+            _fail(path, f"expected an array of {size} items, got {got}")
         return [item(v, f"{path}/{i}") for i, v in enumerate(x)]
     return check
 
@@ -137,8 +141,8 @@ _SPEC = {
         # the reported 4 K force resolution, at 1 Hz
         "force_threshold_N_per_sqrt_Hz": (_POS, 5.6e-18),
         "bandwidth_Hz": (_POS, 1.0),
-        "n_grid": (_array(_POSINT, 1), list(range(2, 31))),
-        "T2_grid_s": (_array(_POS, 1), [0.1, 10.0, 1000.0]),
+        "n_grid": (_array(_POSINT, 1, MAX_N_GRID), list(range(2, 31))),
+        "T2_grid_s": (_array(_POS, 1, MAX_T2_GRID), [0.1, 10.0, 1000.0]),
     },
     "readout": {
         # w1/2pi = 10 kHz, Omega = 2*w1, w_m = w1^2/(10*Omega):

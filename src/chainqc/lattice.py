@@ -156,8 +156,8 @@ def splitting(lat: ChainLattice, grad: float) -> float:
 def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
     """Transverse lattice points other than the origin with norm <= radius,
     sorted by (norm, x, y)."""
-    if radius < 0:
-        raise ConfigError("radius must be non-negative")
+    if not 0 <= radius < math.inf:
+        raise ConfigError("radius must be non-negative and finite")
     B = np.array(lat.transverse_basis, dtype=float).T  # basis as columns
     # Integer coefficient bound from the smallest singular value of B.
     smin = np.linalg.svd(B, compute_uv=False)[-1]
@@ -193,7 +193,7 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
     ``include_lower_plane`` additionally counts the copies in plane i-1
     (sensitivity study; the baseline sum covers one plane only).
     """
-    if rel_tol <= 0:
+    if not rel_tol > 0:
         raise ConfigError("rel_tol must be positive")
     spacing = lat.min_transverse_spacing
     radius = 4.0 * spacing

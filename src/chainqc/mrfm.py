@@ -3,8 +3,8 @@
 Covers the effective-pure-state magnetization (evaluated in log space so
 large qubit counts do not overflow), the gradient readout force, cantilever
 thermal force noise, the measurable-qubit and required-field curves, the
-gate-budget model, and a single-spin simulation of cyclic adiabatic
-inversion (CAI) readout.
+cycle-time and gate-budget models, and a single-spin simulation of cyclic
+adiabatic inversion (CAI) readout.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ __all__ = [
     "force_at_n",
     "max_measurable_qubits",
     "required_field_over_temp",
+    "cycle_time_model",
     "gate_budget",
     "GateBudget",
     "simulate_cai_readout",
@@ -231,6 +232,16 @@ def required_field_over_temp(n: int, p: ScalabilityParams) -> float:
     return math.sqrt(lo * hi)
 
 
+def cycle_time_model(n: int, L: float, delta_omega: float) -> float:
+    """Clock period of the decoupling/recoupling scheme: t_c = L*n^2/delta_omega."""
+    if n < 1:
+        raise ConfigError("n must be at least 1")
+    for name, v in (("L", L), ("delta_omega", delta_omega)):
+        if not 0 < v < math.inf:
+            raise ConfigError(f"{name} must be positive and finite")
+    return L * n * n / delta_omega
+
+
 @dataclass(frozen=True)
 class GateBudget:
     budget: float          # T2_0 / t_c(n)
@@ -240,7 +251,6 @@ class GateBudget:
 
 def gate_budget(p: ScalabilityParams) -> GateBudget:
     """Number of gates fitting into the decoherence time at qubit count n."""
-    from .pulses import cycle_time_model
     t_c = cycle_time_model(p.n, p.L, p.delta_omega)
     return GateBudget(
         budget=p.T2_0 / t_c,

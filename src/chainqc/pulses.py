@@ -3,9 +3,7 @@
 Schedules are timed lists of RF pulses, either broadband (all spins) or
 plane-selective.  Generators here produce the WAHUHA homonuclear decoupling
 cycle, Hadamard-scheduled selective pi-pulse decoupling, pairwise
-recoupling, merged (interleaved) timelines, and a compiled CNOT; the
-cycle-time model converts schedule structure into the clock period used by
-the scalability analysis.
+recoupling, merged (interleaved) timelines, and a compiled CNOT.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ __all__ = [
     "decoupling_schedule",
     "recouple",
     "interleave",
-    "cycle_time_model",
     "compile_cnot",
     "sequence_to_json",
     "sequence_from_json",
@@ -226,11 +223,12 @@ def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
 
     All other rows are left unchanged; any spectator pair whose scale
     becomes nonzero is reported rather than hidden (with distinct Hadamard
-    rows elsewhere there are none).
+    rows elsewhere there are none).  ConfigError unless i and j are
+    distinct planes of m.
     """
     i, j = pair
-    if i == j:
-        raise ConfigError("distinct planes required")
+    if not (0 <= i < m.n and 0 <= j < m.n) or i == j:
+        raise ConfigError(f"recouple pair {(i, j)} invalid for n={m.n}")
     rows = list(m.rows)
     rows[j] = rows[i]
     out = SignMatrix(tuple(rows))
@@ -299,15 +297,6 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
             offenders)
     return Sequence(bb.events + tuple(placed), cycle_time=total,
                     label=f"{broadband.label}+{selective.label}")
-
-
-def cycle_time_model(n: int, L: float, delta_omega: float) -> float:
-    """Clock period of the decoupling/recoupling scheme: t_c = L*n^2/delta_omega."""
-    if n < 1:
-        raise ConfigError("n must be at least 1")
-    if L <= 0 or delta_omega <= 0:
-        raise ConfigError("L and delta_omega must be positive")
-    return L * n * n / delta_omega
 
 
 def _norm_flip(angle: float) -> float:
@@ -458,9 +447,9 @@ def sequence_from_json(text: str) -> Sequence:
 
 
 def sequence_to_csv_rows(seq: Sequence) -> list[list]:
-    """Rows for CSV export: header + one row per event."""
+    """Timeline table: header, then one row of raw values per event."""
     rows = [["t_start_s", "duration_s", "flip_angle_rad", "phase_rad", "target"]]
     for ev in seq.events:
-        rows.append([repr(ev.t_start), repr(ev.duration), repr(ev.flip_angle),
-                     repr(ev.phase), str(ev.target)])
+        rows.append([ev.t_start, ev.duration, ev.flip_angle, ev.phase,
+                     str(ev.target)])
     return rows

@@ -227,11 +227,22 @@ class TestExitCodes:
         assert run(["simulate", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 2
 
-    def test_bad_recouple_pair_exits_2(self, tmp_path):
+    def test_bad_recouple_pair_exits_2(self, tmp_path, capsys):
         assert run(["schedule", "--recouple", "0,7",
                     "--out", str(tmp_path / "o")]) == 2
         assert run(["schedule", "--recouple", "x,y",
                     "--out", str(tmp_path / "o")]) == 2
+        # pulses.recouple checks the pair, from the flag or the config
+        assert run(["schedule", "--recouple=-1,0",
+                    "--out", str(tmp_path / "o")]) == 2
+        cfg = write_cfg(tmp_path, _v1(sequence={"recouple": [0, 3]}))
+        assert run(["schedule", "--config", cfg,
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "recouple pair (-1, 0) invalid for n=3" in err
+        assert "recouple pair (0, 3) invalid for n=3" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_wide_pi_pulse_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
@@ -349,6 +360,34 @@ class TestExitCodes:
         assert f"config invalid at {section}/{key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, item, cap", [
+        ("n_grid", 2, config.MAX_N_GRID),
+        ("T2_grid_s", 0.1, config.MAX_T2_GRID),
+    ])
+    def test_scalability_grid_above_cap_exits_2(self, tmp_path, capsys, key,
+                                                item, cap):
+        config.parse_config(_v1(scalability={key: [item] * cap}))
+        cfg = write_cfg(tmp_path, _v1(scalability={key: [item] * (cap + 1)}))
+        out = tmp_path / "o"
+        assert run(["scalability", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert (f"config invalid at scalability/{key}: expected an array of "
+                f"1 to {cap} items, got {cap + 1}") in err
+        assert not out.exists()
+
+    def test_scalability_at_both_grid_caps_exits_0(self, tmp_path):
+        # 1000 rows of 2 + 32 cells: under a second, about 0.6 MB
+        cfg = write_cfg(tmp_path, _v1(scalability={
+            "n_grid": list(range(1, config.MAX_N_GRID + 1)),
+            "T2_grid_s": [10.0 ** (k / 4 - 4)
+                          for k in range(config.MAX_T2_GRID)]}))
+        out = tmp_path / "o"
+        assert run(["scalability", "--config", cfg, "--out", str(out),
+                    "--no-meta"]) == 0
+        curve = out / "scalability_curve.csv"
+        assert len(curve.read_text().splitlines()) == 1 + config.MAX_N_GRID
+        assert curve.stat().st_size < 1e6
+
     @pytest.mark.parametrize("seq", [
         {"n_planes": 100000},   # the Sylvester block alone needs 2 GiB
         {"n_planes": 256},      # minutes of window scanning
@@ -373,6 +412,21 @@ class TestExitCodes:
         assert "delta_omega must be positive and finite" in \
             capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_schedule_ignores_scalability_design_point(self, tmp_path, fmt):
+        # schedule reads only scalability.L; a design point whose
+        # gamma * hbar * N underflows stops scalability, not schedule
+        cfg = write_cfg(tmp_path, _v1(scalability={"copies_N": 1e-300}))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(["schedule", "--out", str(a), "--no-meta",
+                    "--format", fmt]) == 0
+        assert run(["schedule", "--config", cfg, "--out", str(b), "--no-meta",
+                    "--format", fmt]) == 0
+        names = sorted(f.name for f in a.iterdir())
+        assert names == sorted(f.name for f in b.iterdir())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
     @pytest.mark.parametrize("below", [False, True])
     def test_unwritable_out_exits_2(self, tmp_path, capsys, below):

@@ -104,6 +104,11 @@ class TestChainSites:
         with pytest.raises(ConfigError, match="coefficient grid"):
             lattice.chain_sites_within(FAP, 1e-3)
 
+    @pytest.mark.parametrize("radius", [-1e-9, math.nan, math.inf])
+    def test_bad_radius_rejected(self, radius):
+        with pytest.raises(ConfigError, match="radius must be"):
+            lattice.chain_sites_within(FAP, radius)
+
     def test_origin_flag(self):
         a = CUBIC.min_transverse_spacing
         pts = lattice.chain_sites_within(CUBIC, a)
@@ -144,6 +149,13 @@ class TestSigmaOverDelta:
         ratios = [r for _, r in m.trace]
         assert len(ratios) >= 2
         assert abs(ratios[-1] - ratios[-2]) <= 1e-4 * ratios[-1]
+
+    @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan])
+    def test_bad_rel_tol_rejected(self, rel_tol):
+        # NaN fails the check up front instead of running every doubling
+        # into the grid cap
+        with pytest.raises(ConfigError, match="rel_tol must be positive"):
+            lattice.sigma_over_delta(FAP, rel_tol=rel_tol)
 
     def test_lower_plane_factor(self):
         base = lattice.sigma_over_delta(FAP).sigma_over_delta

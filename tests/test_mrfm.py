@@ -153,6 +153,27 @@ class TestGateBudget:
         assert b3 / b2 == pytest.approx(100.0)
 
 
+class TestCycleTimeModel:
+    def test_formula(self):
+        assert mrfm.cycle_time_model(10, 16.0, 1.21e5) == pytest.approx(
+            16.0 * 100 / 1.21e5)
+
+    def test_validation(self):
+        with pytest.raises(ConfigError):
+            mrfm.cycle_time_model(0, 16.0, 1.0)
+
+    @pytest.mark.parametrize("name, L, delta_omega", [
+        ("L", math.nan, 1.0), ("L", math.inf, 1.0), ("L", 0.0, 1.0),
+        ("L", -16.0, 1.0),
+        ("delta_omega", 16.0, math.nan), ("delta_omega", 16.0, math.inf),
+        ("delta_omega", 16.0, 0.0), ("delta_omega", 16.0, -1.0),
+    ])
+    def test_rejects_non_positive_or_non_finite(self, name, L, delta_omega):
+        with pytest.raises(ConfigError,
+                           match=f"^{name} must be positive and finite$"):
+            mrfm.cycle_time_model(10, L, delta_omega)
+
+
 def cai_params(adiabaticity=10.0, ratio=2.0, w1=TWO_PI * 10e3, periods=6):
     omega_m = w1 / (adiabaticity * ratio)
     return CAIParams(

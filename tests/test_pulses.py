@@ -235,16 +235,6 @@ class TestInterleave:
         assert len(exc.value.offenders) >= 1
 
 
-class TestCycleTimeModel:
-    def test_formula(self):
-        assert pulses.cycle_time_model(10, 16.0, 1.21e5) == pytest.approx(
-            16.0 * 100 / 1.21e5)
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            pulses.cycle_time_model(0, 16.0, 1.0)
-
-
 class TestCompileCnot:
     @staticmethod
     def _basis_state(bits):
@@ -396,8 +386,13 @@ class TestSerialization:
     def test_csv_rows(self):
         seq = pulses.wahuha(1e-6)
         rows = pulses.sequence_to_csv_rows(seq)
-        assert rows[0][0] == "t_start_s"
+        assert rows[0] == ["t_start_s", "duration_s", "flip_angle_rad",
+                           "phase_rad", "target"]
         assert len(rows) == 5
+        # raw cell values, rendered by whoever writes the table
+        e = seq.events[0]
+        assert rows[1] == [e.t_start, e.duration, e.flip_angle, e.phase,
+                           "broadband"]
 
 
 # --- properties -----------------------------------------------------------------
@@ -579,3 +574,19 @@ def test_sign_matrix_reads_match_references(m, slot, width_frac, pair):
     assert got == reference_decoupling_events(m, slot, width_frac * slot)
     assert all(type(e.t_start) is float for e in seq.events)
 
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 16))
+def test_recouple_checks_every_pair(n):
+    # ConfigError exactly for an index outside range(n) or an equal pair;
+    # otherwise the distinct Hadamard rows leave no degraded pair
+    m = pulses.hadamard_sign_matrix(n)
+    for i in range(-n, 2 * n):
+        for j in range(-n, 2 * n):
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                with pytest.raises(ConfigError, match="invalid for n="):
+                    pulses.recouple(m, (i, j))
+            else:
+                res = pulses.recouple(m, (i, j))
+                assert res.matrix.scales[i, j] == 1.0
+                assert res.degraded_pairs == ()
