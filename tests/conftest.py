@@ -1,4 +1,5 @@
-"""Shared fixtures, hypothesis profiles and the acceptance-criteria report."""
+"""Shared fixtures, hypothesis profiles, and the acceptance-criteria and
+golden-output reports."""
 
 from hypothesis import settings
 
@@ -8,6 +9,10 @@ settings.register_profile("oracle-deep", max_examples=300, deadline=None)
 
 # Populated by tests/test_acceptance.py: number -> (passed, description).
 ACCEPTANCE_RESULTS = {}
+
+# Populated by tests/test_golden.py: "case/file" -> None when the bytes
+# match, else the largest relative deviation of its numbers.
+GOLDEN_RESULTS = {}
 
 
 def record_acceptance(number: int, description: str, passed: bool,
@@ -22,6 +27,13 @@ def record_acceptance(number: int, description: str, passed: bool,
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    if GOLDEN_RESULTS:
+        terminalreporter.section("golden outputs")
+        for name in sorted(GOLDEN_RESULTS):
+            dev = GOLDEN_RESULTS[name]
+            terminalreporter.write_line(
+                f"{name}: " + ("bytes identical" if dev is None
+                               else f"max relative deviation {dev:.3g}"))
     if not ACCEPTANCE_RESULTS:
         return
     terminalreporter.section("acceptance criteria")
