@@ -258,10 +258,10 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
         summary["z_phases_rad"] = [float(p) for p in phases]
         state = spinsys.QuantumState.all_plus_x(sys.total_spins)
     else:
-        seq, target = pulses.compile_cnot(sys, ss["cnot_control"],
-                                          ss["cnot_target"])
+        seq, perm = pulses.compile_cnot(sys, ss["cnot_control"],
+                                        ss["cnot_target"])
         U = spinsys.propagator(sys, seq, mode="ideal")
-        fid = spinsys.gate_fidelity(U, target)
+        fid = spinsys.gate_fidelity(U, perm)
         summary["cnot_fidelity"] = fid
         summary["cnot_infidelity"] = 1.0 - fid
         summary["spectator_chains"] = sys.n_chains - 1
@@ -279,20 +279,14 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
         print(f"fidelity = {fid:.12f}")
 
 
-def _scalability_row(p, n, t2_grid):
-    bt = mrfm.required_field_over_temp(n, p)
-    row = [n, bt]
-    for t2 in t2_grid:
-        row.append(t2 * p.delta_omega / (n * n))
-    return row
-
-
 def cmd_scalability(cfg: config.RunConfig, em: _Emitter, args):
     s = cfg.section("scalability")
     p = cfg.scalability()
     t2_grid = s["T2_grid_s"]
     n_grid = s["n_grid"]
-    rows = [_scalability_row(p, n, t2_grid) for n in n_grid]
+    rows = [[n, mrfm.required_field_over_temp(n, p),
+             *(mrfm.budget_times_l(t2, p.delta_omega, n) for t2 in t2_grid)]
+            for n in n_grid]
     cols = ["n", "B_over_T_required_T_per_K"]
     for t2 in t2_grid:
         cols.append(f"budgetL_T2_{_t2_tag(t2)}")

@@ -16,7 +16,7 @@ import math
 
 from .constants import TWO_PI
 from .errors import ConfigError, finite_json_number, is_number
-from .lattice import ChainLattice, get_preset
+from .lattice import ChainLattice, get_preset, splitting
 from .magnet import PrismMagnet
 from .mrfm import CAIParams, CantileverModel, ScalabilityParams
 
@@ -214,19 +214,21 @@ class RunConfig:
         )
 
     def scalability(self) -> ScalabilityParams:
-        """gamma and a come from the lattice, the gradient from spin_system."""
+        """gamma comes from the lattice, the gradient from spin_system, and
+        the plane splitting from both, by lattice.splitting."""
         s = self.raw["scalability"]
         lat = self.lattice()
+        grad = self.raw["spin_system"]["grad_T_per_m"]
         return ScalabilityParams(
             B0=s["B0_T"],
             temperature=s["temperature_K"],
             N=s["copies_N"],
             n=s["n"],
-            grad=self.raw["spin_system"]["grad_T_per_m"],
+            grad=grad,
             gamma=lat.gamma,
             T2_0=s["T2_0_s"],
             L=s["L"],
-            a=lat.a,
+            delta_omega=splitting(lat, grad),
             force_threshold=s["force_threshold_N_per_sqrt_Hz"],
             bandwidth=s["bandwidth_Hz"],
         )

@@ -30,6 +30,7 @@ __all__ = [
     "max_measurable_qubits",
     "required_field_over_temp",
     "cycle_time_model",
+    "budget_times_l",
     "gate_budget",
     "GateBudget",
     "simulate_cai_readout",
@@ -64,14 +65,14 @@ class ScalabilityParams:
     gamma: float             # rad/s/T
     T2_0: float              # s
     L: float                 # decoupling block length
-    a: float                 # m, plane spacing
+    delta_omega: float       # rad/s, splitting of adjacent planes
     force_threshold: float   # N/sqrt(Hz)
     bandwidth: float         # Hz
 
     def __post_init__(self):
-        # delta_omega too: the product of finite factors can overflow
+        # delta_omega too: gamma * a * grad of finite factors can be inf
         for name in ("B0", "temperature", "N", "grad", "gamma", "T2_0",
-                     "L", "a", "delta_omega", "force_threshold", "bandwidth"):
+                     "L", "delta_omega", "force_threshold", "bandwidth"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be positive and finite")
         # the log-space magnetization starts from ln(gamma * hbar * N)
@@ -79,11 +80,6 @@ class ScalabilityParams:
             raise ConfigError("gamma * hbar * N underflows to 0")
         if not self.n >= 1:
             raise ConfigError("n must be at least 1")
-
-    @property
-    def delta_omega(self) -> float:
-        """Splitting of adjacent planes, gamma * a * grad (rad/s)."""
-        return self.gamma * self.a * self.grad
 
     @property
     def detection_threshold(self) -> float:
@@ -242,6 +238,11 @@ def cycle_time_model(n: int, L: float, delta_omega: float) -> float:
     return L * n * n / delta_omega
 
 
+def budget_times_l(T2: float, delta_omega: float, n: int) -> float:
+    """Gate budget times the block length L: T2 * delta_omega / n^2."""
+    return T2 * delta_omega / (n * n)
+
+
 @dataclass(frozen=True)
 class GateBudget:
     budget: float          # T2_0 / t_c(n)
@@ -254,7 +255,7 @@ def gate_budget(p: ScalabilityParams) -> GateBudget:
     t_c = cycle_time_model(p.n, p.L, p.delta_omega)
     return GateBudget(
         budget=p.T2_0 / t_c,
-        budget_times_l=p.T2_0 * p.delta_omega / (p.n * p.n),
+        budget_times_l=budget_times_l(p.T2_0, p.delta_omega, p.n),
         cycle_time=t_c,
     )
 

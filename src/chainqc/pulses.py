@@ -19,7 +19,7 @@ import numpy as np
 from .constants import TWO_PI
 from .errors import (ConfigError, SequenceValidationError, finite_json_number,
                      is_number)
-from .spinsys import Propagator, SpinSystem
+from .spinsys import SpinSystem, cnot_permutation
 
 __all__ = [
     "PulseEvent",
@@ -322,38 +322,19 @@ def _z_rotation_events(plane: int, alpha: float, t: float) -> list[PulseEvent]:
     ]
 
 
-def _cnot_target(sys: SpinSystem, control: int, target: int) -> Propagator:
-    """Ideal CNOT on every chain copy (control plane -> target plane).
-
-    A basis permutation: the target bit flips wherever the control bit is
-    down (spin s is bit n-1-s of the basis index).
-    """
-    n = sys.total_spins
-    k = np.arange(sys.dim)
-    flip = np.zeros_like(k)
-    for ch in range(sys.n_chains):
-        c = n - 1 - sys.spin_index(control, ch)
-        t = n - 1 - sys.spin_index(target, ch)
-        flip |= ((k >> c) & 1) << t
-    U = np.zeros((sys.dim, sys.dim), dtype=complex)
-    U[k ^ flip, k] = 1.0
-    return Propagator(U)
-
-
 def compile_cnot(sys: SpinSystem, control: int, target: int):
     """Compile a CNOT between adjacent planes.
 
     A free-evolution interval accrues a zz phase of pi from the plane-pair
     coupling; explicit z-rotation composites undo the offset precession and
     convert the controlled phase into a CNOT via target-plane pi/2
-    rotations.  Returns (Sequence, ideal target Propagator).
+    rotations.  Returns (Sequence, perm), perm the ideal target as
+    spinsys.cnot_permutation gives it: basis state k goes to perm[k].
     """
     if abs(control - target) != 1:
         raise ConfigError(
             "compile_cnot supports nearest-neighbor planes only")
-    for p in (control, target):
-        if not 0 <= p < sys.n_planes:
-            raise ConfigError(f"plane {p} out of range")
+    perm = cnot_permutation(sys, control, target)
     s1 = sys.spin_index(control, 0)
     s2 = sys.spin_index(target, 0)
     J = None
@@ -381,7 +362,7 @@ def compile_cnot(sys: SpinSystem, control: int, target: int):
     events.append(PulseEvent(t_evol, 0.0, half, PHASE_Y, target))
     seq = Sequence(tuple(events), cycle_time=t_evol,
                    label=f"cnot-{control}-{target}")
-    return seq, _cnot_target(sys, control, target)
+    return seq, perm
 
 
 # --- serialization ---------------------------------------------------------

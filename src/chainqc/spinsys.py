@@ -15,7 +15,9 @@ pi/2 = y).  With this convention the WAHUHA cycle scales offsets along
 +(1,1,1)/sqrt(3).
 
 Spin s is bit n-1-s of the computational-basis index (bit 0 = up,
-Iz = +1/2).  H is written straight from that bit table: a diagonal of
+Iz = +1/2); no other module reads that layout.  An operator that maps basis
+states to basis states, as the ideal CNOT does, leaves it as an index array
+(cnot_permutation).  H is written straight from the bit table: a diagonal of
 offsets and zz terms plus the in-plane flip-flop entries.  H conserves each
 plane's Iz (a full_dipolar pair across planes joins the two planes into one
 conserved group), so it is block diagonal over sectors of equal per-plane
@@ -57,6 +59,7 @@ __all__ = [
     "evolve",
     "propagator",
     "expectation_iz_plane",
+    "cnot_permutation",
     "gate_fidelity",
     "diagonal_z_fidelity",
     "average_hamiltonian_0",
@@ -577,12 +580,29 @@ def expectation_iz_plane(sys: SpinSystem, state: QuantumState,
     return float(m @ np.real(np.diag(state.data)))
 
 
-def gate_fidelity(actual: Propagator, target: Propagator) -> float:
-    """|Tr(target^dag actual)| / d, invariant under global phase."""
-    if actual.dim != target.dim:
-        raise ConfigError("propagator dimensions do not match")
+def cnot_permutation(sys: SpinSystem, control: int,
+                     target: int) -> np.ndarray:
+    """The ideal CNOT on every chain copy as a basis permutation: basis
+    state k goes to perm[k], which has the target spin of each chain
+    flipped where that chain's control spin is down."""
+    down = sys._iz_table[:, sys.plane_spins(control)] < 0
+    flip = 1 << (sys.total_spins - 1 - np.array(sys.plane_spins(target)))
+    return np.arange(sys.dim) ^ (down @ flip)
+
+
+def gate_fidelity(actual: Propagator, perm) -> float:
+    """|Tr(P^dag U)| / d = |sum_k U[perm[k], k]| / d for the permutation P
+    that sends basis state k to perm[k]; invariant under global phase.
+    ConfigError unless perm is a permutation of range(d)."""
     d = actual.dim
-    return float(abs(np.vdot(target.matrix, actual.matrix)) / d)
+    perm = np.asarray(perm)
+    hit = np.zeros(d, dtype=bool)
+    if (perm.shape == (d,) and perm.dtype.kind in "iu"
+            and np.all(perm >= 0) and np.all(perm < d)):
+        hit[perm] = True
+    if not hit.all():
+        raise ConfigError(f"target is not a permutation of range({d})")
+    return float(abs(actual.matrix[perm, np.arange(d)].sum()) / d)
 
 
 def diagonal_z_fidelity(U: np.ndarray):

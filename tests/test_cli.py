@@ -719,6 +719,16 @@ class TestOutputs:
         assert float(row10[1]) == pytest.approx(1.61, rel=0.01)
         assert float(row10[2]) == pytest.approx(121.1, rel=0.01)
 
+    def test_curve_and_summary_share_budget_times_l(self, tmp_path):
+        cfg = write_cfg(tmp_path, _v1(scalability={
+            "n": 7, "T2_0_s": 0.3, "n_grid": [7], "T2_grid_s": [0.3]}))
+        out = tmp_path / "o"
+        assert run(["scalability", "--config", cfg, "--out", str(out),
+                    "--no-meta", "--format", "json"]) == 0
+        curve = json.loads((out / "scalability_curve.json").read_text())
+        summary = json.loads((out / "scalability_summary.json").read_text())
+        assert curve["rows"][0][2] == summary["gate_budget_times_L"]
+
     def test_gate_budget_follows_gradient(self, tmp_path):
         def summary(grad):
             cfg = write_cfg(tmp_path, _v1(spin_system={"grad_T_per_m": grad}))

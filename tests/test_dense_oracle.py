@@ -4,7 +4,7 @@ The oracle is the original dense implementation: H summed from embedded
 single- and two-spin operators, one eigendecomposition per free window and
 per pulse, a finite pulse sampled with one eigendecomposition of H + Hd per
 sub-step, the average Hamiltonian in a dense toggling frame, and the CNOT
-target as a product of projectors.  It is kept here only as a reference for
+target as a product of projectors with the fidelity as a dense trace.  It is kept here only as a reference for
 registers of up to 8 spins.
 
 Each property runs 25 examples; ``--hypothesis-profile=oracle-deep``
@@ -393,5 +393,21 @@ def test_cnot_target_is_the_projector_product(sys, data):
     control = data.draw(st.integers(0, sys.n_planes - 2))
     control, target = data.draw(st.sampled_from(
         [(control, control + 1), (control + 1, control)]))
-    U = pulses._cnot_target(sys, control, target).matrix
+    perm = spinsys.cnot_permutation(sys, control, target)
+    U = np.zeros((sys.dim, sys.dim), dtype=complex)
+    U[perm, np.arange(sys.dim)] = 1.0
     assert np.array_equal(U, dense_cnot(sys, control, target))
+
+
+@SETTINGS
+@given(registers(min_planes=2), st.data())
+def test_gate_fidelity_is_the_dense_trace(sys, data):
+    seq = data.draw(schedules(sys.n_planes))
+    control = data.draw(st.integers(0, sys.n_planes - 2))
+    control, target = data.draw(st.sampled_from(
+        [(control, control + 1), (control + 1, control)]))
+    U = spinsys.propagator(sys, seq)
+    dense = abs(np.vdot(dense_cnot(sys, control, target), U.matrix)) / sys.dim
+    fid = spinsys.gate_fidelity(
+        U, spinsys.cnot_permutation(sys, control, target))
+    assert abs(fid - dense) <= 1e-15

@@ -127,7 +127,9 @@ class TestMeasurableQubits:
 class TestGateBudget:
     def test_splitting_follows_gradient(self):
         assert DESIGN.delta_omega == TWO_PI * 40e6 * 3.442e-10 * 1.4e6
-        doubled = replace(DESIGN, grad=2 * DESIGN.grad)
+        doubled = config.parse_config({
+            "schema_version": 1,
+            "spin_system": {"grad_T_per_m": 2 * DESIGN.grad}}).scalability()
         assert doubled.delta_omega == 2 * DESIGN.delta_omega
         assert (mrfm.gate_budget(doubled).budget
                 == 2 * mrfm.gate_budget(DESIGN).budget)

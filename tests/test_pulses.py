@@ -288,6 +288,13 @@ class TestCompileCnot:
         with pytest.raises(ConfigError):
             pulses.compile_cnot(sys, 0, 2)
 
+    @pytest.mark.parametrize("control, target, bad", [
+        (2, 3, 3), (3, 2, 3), (-1, 0, -1)])
+    def test_plane_out_of_range_rejected(self, control, target, bad):
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
+        with pytest.raises(ConfigError, match=f"plane {bad} out of range"):
+            pulses.compile_cnot(sys, control, target)
+
     def test_spectator_chain_infidelity_bounded(self):
         lam = 9.367e-10 / FAP.a
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0), (lam, 0.0)], 1.4e6)

@@ -370,10 +370,23 @@ class TestEvolution:
 
 class TestFidelities:
     def test_gate_fidelity_phase_invariant(self):
-        U = expi(0.3 * 2 * np.asarray(SY))
-        a = Propagator(U)
-        b = Propagator(np.exp(1j * 0.7) * U)
-        assert spinsys.gate_fidelity(a, b) == pytest.approx(1.0)
+        perm = np.array([0, 1, 3, 2])  # CNOT, control spin 0
+        P = np.eye(4)[perm].T  # column k has its 1 in row perm[k]
+        a = Propagator(np.exp(1j * 0.7) * P)
+        assert spinsys.gate_fidelity(a, perm) == pytest.approx(1.0,
+                                                              abs=1e-15)
+        # the identity matches the CNOT on its two fixed basis states
+        b = Propagator(np.exp(-1j * 2.1) * np.eye(4))
+        assert spinsys.gate_fidelity(b, perm) == pytest.approx(0.5,
+                                                              abs=1e-15)
+
+    @pytest.mark.parametrize("perm", [
+        [0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 2], [0, 1, 2, 4],
+        [0, 1, 2, -1], [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]]])
+    def test_gate_fidelity_rejects_a_non_permutation(self, perm):
+        U = Propagator(np.eye(4, dtype=complex))
+        with pytest.raises(ConfigError, match="not a permutation"):
+            spinsys.gate_fidelity(U, perm)
 
     def test_diagonal_z_fidelity(self):
         Iz0 = single_spin_op(2, 0, SZ)
