@@ -115,7 +115,7 @@ def cmd_lattice(cfg: config.RunConfig, em: _Emitter, args):
     max_sep = s["max_plane_separation"]
     rows = []
     for sep in range(1, max_sep + 1):
-        dw = lattice.intra_chain_coupling(lat, 0, sep)
+        dw = lattice.dipolar_coupling(lat, 0.0, 0.0, sep * lat.a)
         rows.append([sep, dw, dw / TWO_PI])
     em.table("lattice_coupling",
              ["plane_separation", "delta_omega_rad_per_s",

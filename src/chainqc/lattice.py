@@ -2,10 +2,11 @@
 
 A crystal is modeled as parallel chains of spin-1/2 nuclei along z with
 intra-chain spacing ``a``; the chains form a 2D lattice in the transverse
-plane.  This module evaluates the intra-chain zz coupling, the dimensionless
-cross-chain recoupling coefficient b(lambda), the effective-linewidth ratio
-sigma/delta_omega obtained by summing b^2 over the transverse lattice, and
-the gradient-induced splitting between adjacent planes.
+plane.  This module holds the one writing of the secular dipolar law
+(dipolar_coupling, which gives every coupling), the closed-form cross-chain
+coefficient b(lambda), the effective-linewidth ratio sigma/delta_omega
+obtained by summing b^2 over the transverse lattice, and the gradient-induced
+splitting between adjacent planes.
 
 All frequencies are angular (rad/s).
 """
@@ -25,7 +26,7 @@ __all__ = [
     "CouplingMetrics",
     "get_preset",
     "preset_names",
-    "intra_chain_coupling",
+    "dipolar_coupling",
     "b_coefficient",
     "sigma_over_delta",
     "splitting",
@@ -121,16 +122,15 @@ def get_preset(name: str) -> ChainLattice:
         ) from None
 
 
-def intra_chain_coupling(lat: ChainLattice, i: int, j: int) -> float:
-    """zz coupling coefficient delta_omega_ij (rad/s) between planes i and j.
-
-    The Hamiltonian term is hbar * delta_omega_ij * Iz_i Iz_j; with the field
-    along the chains the angular factor 1 - 3cos^2(0) is -2, so it is negative.
+def dipolar_coupling(lat: ChainLattice, dx, dy, dz) -> float:
+    """Secular dipolar coefficient (rad/s) of spins (dx, dy, dz) m apart,
+    the field along z: (mu0/4pi) gamma^2 hbar (1 - 3 cos^2 theta) / r^3,
+    -2 (mu0/4pi) gamma^2 hbar / r^3 on one chain; inf where r^3 underflows.
     """
-    if i == j:
-        raise ConfigError("intra_chain_coupling requires i != j")
-    r = abs(j - i) * lat.a
-    return MU0_OVER_4PI * lat.gamma**2 * HBAR * -2.0 / r**3
+    base = MU0_OVER_4PI * lat.gamma**2 * HBAR
+    r = math.sqrt(dx**2 + dy**2 + dz**2)
+    r3 = r**3
+    return base * (1.0 - 3.0 * (dz / r) ** 2) / r3 if r3 > 0.0 else math.inf
 
 
 def b_coefficient(lam):
@@ -209,7 +209,7 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
         trace.append((radius, ratio))
         if prev is not None:
             if ratio == prev or abs(ratio - prev) <= rel_tol * ratio:
-                delta = intra_chain_coupling(lat, 0, 1)
+                delta = dipolar_coupling(lat, 0.0, 0.0, lat.a)
                 return CouplingMetrics(
                     delta_omega_nn=delta,
                     sigma=ratio * abs(delta),

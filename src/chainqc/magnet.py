@@ -113,7 +113,8 @@ def field(mag: PrismMagnet, points):
     v = r[..., 1, None, None] - np.array([y1, y2, y1, y2])
     Z = r[..., 2, None, None] - np.array([[z2], [z1]])
     s = np.array([1.0, -1.0, -1.0, 1.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A singular or overflowing corner term is caught by the finite check.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         R = np.sqrt(u * u + v * v + Z * Z)
         uz = u * u + Z * Z
         vz = v * v + Z * Z
@@ -167,8 +168,9 @@ def splitting_profile(field_fn, r0, a: float, n: int, gamma: float):
         raise ConfigError("need at least one plane")
     if a <= 0:
         raise ConfigError("plane spacing must be positive")
-    planes = np.asarray(r0, dtype=float) + np.outer(np.arange(n) * a,
-                                                    (0.0, 0.0, 1.0))
+    with np.errstate(over="raise"):  # FloatingPointError, exit 3
+        planes = np.asarray(r0, dtype=float) + np.outer(np.arange(n) * a,
+                                                        (0.0, 0.0, 1.0))
     bz = field_fn(planes)[0][:, 2]
     offsets = gamma * (bz - bz[0])
     deltas = np.diff(offsets)

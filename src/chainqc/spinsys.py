@@ -28,10 +28,10 @@ reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
 A sampled (finite-width) pulse writes its drive from the same bit table;
 the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
 differ only by diagonal phases that advance by the same D each step, so the
-whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag;
-the bracket is one operator per pulse shape, built by binary powering when
-that costs fewer flops than stepping the operand.  The average Hamiltonian
-keeps one 3x3 rotation per plane and is written out by H's own writer.
+whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag
+for every operand, the bracket one cached operator per pulse shape (binary
+powering) where that costs fewer flops than its n matvecs W (D Y).  The
+average Hamiltonian keeps one 3x3 rotation per plane, written by H's writer.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .constants import HBAR, MU0_OVER_4PI
 from .errors import ConfigError
-from .lattice import ChainLattice, splitting
+from .lattice import ChainLattice, dipolar_coupling, splitting
 
 __all__ = [
     "MAX_SPINS",
@@ -350,9 +349,10 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
     """Assemble a SpinSystem from crystal geometry and a field gradient.
 
     Offsets are omega_p = p * gamma*a*|grad| relative to plane 0.  Every
-    pairwise coefficient is evaluated from the full 3D separation vector;
-    same-plane pairs keep the full dipolar form (optionally dropped via
-    ``include_same_plane`` to isolate cross-chain zz effects).
+    pairwise coefficient is lattice.dipolar_coupling of the full 3D
+    separation vector; same-plane pairs keep the full dipolar form
+    (optionally dropped via ``include_same_plane`` to isolate cross-chain zz
+    effects).
     """
     positions = [tuple(float(c) for c in p) for p in chain_positions]
     if len(set(positions)) != len(positions):
@@ -365,20 +365,17 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
             f"{n_planes * n_chains} spins exceeds the cap of {MAX_SPINS}")
     dw = splitting(lat, grad)
     offsets = tuple(p * dw for p in range(n_planes))
-    base = MU0_OVER_4PI * lat.gamma**2 * HBAR
     couplings = []
     for s1, s2 in itertools.combinations(range(n_planes * n_chains), 2):
         (p1, c1), (p2, c2) = divmod(s1, n_chains), divmod(s2, n_chains)
-        dxy = (np.array(positions[c2]) - np.array(positions[c1])) * lat.a
+        dx, dy = ((v2 - v1) * lat.a
+                  for v1, v2 in zip(positions[c1], positions[c2]))
         dz = (p2 - p1) * lat.a
-        r = math.sqrt(dxy[0]**2 + dxy[1]**2 + dz**2)
-        r3 = r**3
-        coeff = (base * (1.0 - 3.0 * (dz / r) ** 2) / r3
-                 if r3 > 0.0 else math.inf)
+        coeff = dipolar_coupling(lat, dx, dy, dz)
         if not math.isfinite(coeff):
             raise ConfigError(
                 f"spins {s1} and {s2} are too close "
-                f"(r = {r:.3e} m) for a finite coupling")
+                f"(r = {math.hypot(dx, dy, dz):.3e} m) for a finite coupling")
         if p1 == p2:
             if include_same_plane:
                 couplings.append(Coupling(s1, s2, "full_dipolar", coeff))
@@ -479,9 +476,9 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     the product of all n sub-steps is P = r_{n-1} (W D)^(n-1) W r_0^dag.
 
     ``cache`` belongs to one walk: W per (w1, dt), and the bracket
-    (W D)^(n-1) W per pulse shape (w1, dt, wd, n).  The bracket is built
-    only when that costs fewer flops than stepping: n m > products d for an
-    operand of m columns, so a state vector keeps its O(n d^2) sub-steps.
+    (W D)^(n-1) W per pulse shape (w1, dt, wd, n), used only where building
+    it costs fewer flops than its n matvecs W (D Y): n m > products d for an
+    operand of m columns, so a state vector takes the matvecs.
     """
     w1 = event.flip_angle / event.duration
     if event.target != "broadband":
@@ -502,26 +499,27 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
         W = cache[(w1, dt)] = _expm_real_sym(
             _bit_operator(sys, fields, tensors), dt)
     fz = sys._iz_table.sum(axis=1)
+    D = np.exp(1j * wd * dt * fz)
     pulse_shape = (w1, dt, wd, n_steps)
     cost = _power_cost(n_steps - 1)
 
-    def phase(j):
+    def phase(j):  # r_j at sub-step j's midpoint drive phase
         ph = wd * (event.t_start + (j + 0.5) * dt) + event.phase
         return np.exp(-1j * ph * fz)[:, None]
+    r0_dag, r_last = phase(0).conj(), phase(n_steps - 1)
 
     def step(X):
-        Y = X.reshape(sys.dim, -1)
+        Y = r0_dag * X.reshape(sys.dim, -1)
         P = cache.get(pulse_shape)
         if P is None and n_steps * Y.shape[1] > cost * sys.dim:
-            D = np.exp(1j * wd * dt * fz)
             P = cache[pulse_shape] = _power_times(W * D, n_steps - 1, W)
         if P is not None:
-            Y = phase(n_steps - 1) * (P @ (phase(0).conj() * Y))
+            Y = P @ Y
         else:
-            for j in range(n_steps):
-                r = phase(j)
-                Y = r * (W @ (r.conj() * Y))
-        return Y.reshape(X.shape)
+            Y = W @ Y
+            for _ in range(n_steps - 1):
+                Y = W @ (D[:, None] * Y)
+        return (r_last * Y).reshape(X.shape)
     return step
 
 

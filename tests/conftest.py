@@ -6,6 +6,9 @@ from hypothesis import settings
 # The dense-oracle properties (tests/test_dense_oracle.py) run 25 examples
 # each in tier-1; ``--hypothesis-profile=oracle-deep`` runs 300.
 settings.register_profile("oracle-deep", max_examples=300, deadline=None)
+# The command fuzz (tests/test_cli.py) draws cheap sizes in tier-1;
+# ``--hypothesis-profile=cli-deep`` draws the full ranges, 1500 examples.
+settings.register_profile("cli-deep", deadline=None)
 
 # Populated by tests/test_acceptance.py: number -> (passed, description).
 ACCEPTANCE_RESULTS = {}

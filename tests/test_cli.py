@@ -1,5 +1,7 @@
 """Config validation and CLI behavior: outputs, exit codes, determinism."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainqc import cli, config, lattice, magnet, mrfm, pulses
+from chainqc import cli, config, lattice, magnet, mrfm, pulses, spinsys
 from chainqc.errors import ConfigError
 
 
@@ -316,7 +318,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, a_m", [
-        ("lattice", 1e-300),   # ZeroDivisionError in the coupling
+        ("lattice", 1e-300),   # an inf coupling the table refuses
         ("simulate", 1e300),   # OverflowError building the register
     ])
     def test_arithmetic_error_exits_3(self, tmp_path, capsys, command, a_m):
@@ -324,6 +326,24 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, body, code", [
+        ("magnet", {"lattice": {"a_m": 1.7e308}}, 3),    # plane positions
+        ("magnet", {"magnet": {"extent_x_m": 1.7e308}}, 3),  # field terms
+        ("magnet", {"magnet": {"w_m": 1.7e308}}, 3),
+        ("simulate", {"lattice": {"a_m": 1.7e308},       # chain offsets
+                      "spin_system": {"n_planes": 1, "chain_positions_a":
+                                      [[0.0, 0.0], [2.7214, 0.0]]}}, 2),
+    ])
+    def test_overflow_exits_without_warning(self, tmp_path, capsys, command,
+                                            body, code):
+        # tier-1 turns a RuntimeWarning into an error, so an overflow seen
+        # only as a numpy warning fails here
+        cfg = write_cfg(tmp_path, _v1(**body))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("omega_m", [1e-300, 1e-320])
@@ -790,3 +810,159 @@ class TestDeterminism:
                     "--no-meta", "--threads", "8"]) == 0
         assert ((a / "scalability_curve.csv").read_bytes()
                 == (b / "scalability_curve.csv").read_bytes())
+
+
+# --- command-level fuzz ------------------------------------------------------
+#
+# Up to four edits per config, each a key of config._SPEC set to a value at
+# an edge: a size cap +- 1, the float range's ends, 0, -1, 3.0 for an integer
+# key, true, a string or a list of the wrong length; then one command through
+# cli.main.  Tier-1 draws only cheap sizes, so the test stays near 10 s: at
+# most 8 spins (a 12-spin simulate takes seconds and most of a GB), rel_tol of
+# at least 1e-8 (a lower one grows the lattice sum to its 10**7-point cap,
+# 2.7 s and 0.7 GB) and grids of at most 100 per side.  Sizes past a cap still
+# draw, since they exit 2 at once.  ``--hypothesis-profile=cli-deep`` draws the
+# full ranges.
+
+_CLI_DEEP = settings.get_current_profile_name() == "cli-deep"
+
+
+def _leaf_paths(spec, prefix=()):
+    for key, entry in spec.items():
+        if isinstance(entry, dict):
+            yield from _leaf_paths(entry, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+def _around(cap):
+    return [cap - 1, cap, cap + 1]
+
+
+def _chains(n):
+    return [[2.7214 * k, 0.0] for k in range(n)]
+
+
+_SPINS = spinsys.MAX_SPINS
+# With the defaults' one chain and three planes, n_planes is the spin count
+# and four chains make 12 spins.
+_CAPS = {
+    ("lattice", "max_plane_separation"): _around(config.MAX_PLANE_SEPARATION),
+    ("magnet", "n_planes"): _around(config.MAX_MAGNET_PLANES),
+    ("magnet", "homogeneity_samples"): (
+        _around(config.MAX_HOMOGENEITY_SAMPLES) if _CLI_DEEP
+        else [100, config.MAX_HOMOGENEITY_SAMPLES + 1]),
+    ("sequence", "n_planes"): _around(config.MAX_SEQUENCE_PLANES),
+    ("scalability", "n_grid"): [
+        list(range(1, n + 1)) for n in (
+            _around(config.MAX_N_GRID) if _CLI_DEEP
+            else [100, config.MAX_N_GRID + 1])],
+    ("scalability", "T2_grid_s"): [
+        [0.1 * (k + 1) for k in range(n)]
+        for n in _around(config.MAX_T2_GRID)],
+    ("spin_system", "n_planes"): (_around(_SPINS) if _CLI_DEEP
+                                  else [8, _SPINS + 1]),
+    ("spin_system", "chain_positions_a"): [
+        _chains(n) for n in ([4, 5] if _CLI_DEEP else [2, 5])],
+}
+_FUZZ_EDGES = [5e-324, 1e-300, 1.7e308, 0, -1, True, "up", [], [0.0],
+               [0.0] * 4]
+
+
+def _fuzz_pool(path):
+    """(every value drawn for the key, the ones its own check accepts)."""
+    values = _FUZZ_EDGES + _CAPS.get(path, [])
+    if path == ("lattice", "rel_tol") and not _CLI_DEEP:
+        values = [v for v in values if v not in (5e-324, 1e-300)]
+    entry, default = config._SPEC, config.default_config()
+    for key in path:
+        entry, default = entry[key], default.get(key)
+    if type(default) is int:
+        values = values + [3.0]
+    return values, [v for v in values if _accepts(entry[0], v)]
+
+
+def _fuzz_values(path):
+    # Half the draws come from the values the key's own check accepts, so
+    # that most configs reach a model rather than stop at validation.
+    values, accepted = _fuzz_pool(path)
+    drawn = st.sampled_from(values)
+    if accepted:
+        drawn = st.sampled_from(accepted) | drawn
+    return st.tuples(st.just(path), drawn)
+
+
+def _accepts(check, value):
+    try:
+        check(value, "")
+    except ConfigError:
+        return False
+    return True
+
+
+_FUZZ_EDIT = st.sampled_from(list(_leaf_paths(config._SPEC))).flatmap(
+    _fuzz_values)
+# README: the undefined values an output may hold as null (nan in CSV)
+_MAY_BE_NULL = ("following_figure", "variation_fraction", "warning",
+                "recoupled_pair")
+
+
+def _check_value(x, key, last_row):
+    if x is None:
+        assert key in _MAY_BE_NULL or (
+            key.startswith("delta_to_next_") and last_row), key
+    elif isinstance(x, dict):
+        if set(x) == {"header", "rows"}:
+            for i, row in enumerate(x["rows"]):
+                for col, v in zip(x["header"], row):
+                    _check_value(v, col, i == len(x["rows"]) - 1)
+        else:
+            for k, v in x.items():
+                _check_value(v, k, False)
+    elif isinstance(x, list):
+        for v in x:
+            _check_value(v, key, last_row)
+    elif isinstance(x, float):
+        assert math.isfinite(x), key
+
+
+def _check_outputs(out):
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            _check_value(_strict_json(path), path.name, False)
+            continue
+        header, *rows = csv.reader(io.StringIO(path.read_text()))
+        for i, row in enumerate(rows):
+            for col, cell in zip(header, row):
+                try:
+                    x = float(cell)
+                except ValueError:
+                    continue
+                _check_value(None if math.isnan(x) else x, col,
+                             i == len(rows) - 1)
+
+
+@settings(max_examples=1500 if _CLI_DEEP else 500, deadline=None)
+@given(command=st.sampled_from(sorted(cli._COMMANDS)),
+       fmt=st.sampled_from(["csv", "json"]),
+       edits=st.lists(_FUZZ_EDIT, min_size=1, max_size=4))
+def test_command_fuzz(tmp_path_factory, command, fmt, edits):
+    """Any config the table accepts or refuses ends in exit 0, 2 or 3; on 0
+    every number written is finite or a documented null, otherwise no
+    output directory exists."""
+    obj = {"schema_version": 1}
+    for path, value in edits:
+        node = obj
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = write_cfg(tmp, obj)
+    out = tmp / "out"
+    code = run([command, "--config", cfg, "--out", str(out), "--no-meta",
+                "--format", fmt])
+    assert code in (0, 2, 3)
+    if code == 0:
+        _check_outputs(out)
+    else:
+        assert not out.exists()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from chainqc.constants import HBAR, MU0, TWO_PI
+from chainqc.constants import HBAR, MU0_OVER_4PI, TWO_PI
 from chainqc.errors import ConfigError
 from chainqc import lattice
 
@@ -44,21 +44,33 @@ class TestPresets:
 
 class TestIntraChainCoupling:
     def test_nearest_neighbor_magnitude(self):
-        # direct evaluation of (mu0/4pi) gamma^2 hbar (1-3cos^2 phi)/a^3
+        # on one chain (mu0/4pi) gamma^2 hbar (1-3cos^2 0)/a^3, bit for bit
         gamma = TWO_PI * 40e6
-        expect = (MU0 / (4 * math.pi)) * gamma**2 * HBAR * (-2.0) / 3.442e-10**3
-        assert lattice.intra_chain_coupling(FAP, 0, 1) == pytest.approx(expect)
+        r = 3.442e-10
+        expect = MU0_OVER_4PI * gamma**2 * HBAR * -2.0 / r**3
+        assert lattice.dipolar_coupling(FAP, 0.0, 0.0, FAP.a) == expect
+        assert lattice.dipolar_coupling(FAP, 0.0, 0.0, -FAP.a) == expect
         # about 2*pi*5.2 kHz in magnitude
         assert abs(expect) / TWO_PI == pytest.approx(5.2e3, rel=0.01)
 
     def test_inverse_cube_falloff(self):
-        d1 = lattice.intra_chain_coupling(FAP, 0, 1)
-        d3 = lattice.intra_chain_coupling(FAP, 2, 5)
+        d1 = lattice.dipolar_coupling(FAP, 0.0, 0.0, FAP.a)
+        d3 = lattice.dipolar_coupling(FAP, 0.0, 0.0, 3 * FAP.a)
         assert d3 == pytest.approx(d1 / 27.0)
 
-    def test_same_plane_rejected(self):
-        with pytest.raises(ConfigError):
-            lattice.intra_chain_coupling(FAP, 3, 3)
+
+class TestDipolarCoupling:
+    def test_zero_at_the_magic_angle(self):
+        # cos^2 theta = 1/3: dx^2 + dy^2 = 2 dz^2
+        dz = FAP.a
+        c = lattice.dipolar_coupling(FAP, dz, dz, dz)
+        scale = abs(lattice.dipolar_coupling(FAP, 0.0, 0.0, math.sqrt(3) * dz))
+        assert abs(c) <= 1e-15 * scale
+
+    @pytest.mark.parametrize("dz", [1e-120, 1e-170, 0.0])
+    def test_inf_where_r_cubed_underflows(self, dz):
+        # r^3 underflows at 1e-120 and r itself at 1e-170
+        assert lattice.dipolar_coupling(FAP, 0.0, 0.0, dz) == math.inf
 
 
 class TestBCoefficient:

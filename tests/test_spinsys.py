@@ -136,8 +136,7 @@ class TestBuildSystem:
         assert sys.offsets[1] == pytest.approx(lattice.splitting(FAP, 1.4e6))
         c = sys.couplings[0]
         assert c.kind == "zz"
-        assert c.coeff == pytest.approx(
-            lattice.intra_chain_coupling(FAP, 0, 1))
+        assert c.coeff == lattice.dipolar_coupling(FAP, 0.0, 0.0, FAP.a)
 
     def test_cross_chain_geometry(self):
         lam = 2.0
@@ -150,8 +149,9 @@ class TestBuildSystem:
         got = [c.coeff for c in sys.couplings
                if {c.i, c.j} == {0, 3}]
         assert got[0] == pytest.approx(expect)
+        assert got[0] == lattice.dipolar_coupling(FAP, lam * FAP.a, 0.0, FAP.a)
         # consistency with the b(lambda) form: coeff = |delta_nn| b(lambda)
-        delta = lattice.intra_chain_coupling(FAP, 0, 1)
+        delta = lattice.dipolar_coupling(FAP, 0.0, 0.0, FAP.a)
         assert got[0] == pytest.approx(
             abs(delta) * lattice.b_coefficient(lam), rel=1e-9)
 
