@@ -6,6 +6,9 @@ outputs under --out, and is deterministic: identical configs give
 byte-identical files once the timestamped meta line is disabled with
 --no-meta.  Exit codes: 0 success, 2 config error, 3 schedule validation
 error or numerical failure.
+
+Each command imports the model modules it runs inside its own function, so
+a process pays at start-up only for those.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, config, lattice, magnet, mrfm, pulses, spinsys
+from . import __version__, config
 from .constants import TWO_PI
 from .errors import ConfigError, ConvergenceError, SequenceValidationError
 
@@ -110,6 +113,8 @@ def _dumps(obj) -> str:
 
 
 def cmd_lattice(cfg: config.RunConfig, em: _Emitter, args):
+    from . import lattice
+
     s = cfg.section("lattice")
     lat = cfg.lattice()
     max_sep = s["max_plane_separation"]
@@ -145,6 +150,8 @@ def cmd_lattice(cfg: config.RunConfig, em: _Emitter, args):
 
 
 def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
+    from . import magnet
+
     s = cfg.section("magnet")
     lat = cfg.lattice()
     r0 = np.array(s["sample_origin_m"])
@@ -197,6 +204,8 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
 
 
 def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
+    from . import lattice, mrfm, pulses
+
     s = cfg.section("sequence")
     pair = s.get("recouple")
     if args.recouple is not None:
@@ -238,6 +247,8 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
 
 
 def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
+    from . import pulses, spinsys
+
     ss = cfg.section("spin_system")
     seq_cfg = cfg.section("sequence")
     lat = cfg.lattice()
@@ -280,6 +291,8 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
 
 
 def cmd_scalability(cfg: config.RunConfig, em: _Emitter, args):
+    from . import mrfm
+
     s = cfg.section("scalability")
     p = cfg.scalability()
     t2_grid = s["T2_grid_s"]
@@ -315,6 +328,8 @@ def _t2_tag(t2: float) -> str:
 
 
 def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
+    from . import mrfm
+
     s = cfg.section("readout")
     params = cfg.cai()
     res = mrfm.simulate_cai_readout(

@@ -13,12 +13,15 @@ import copy
 import dataclasses
 import json
 import math
+from typing import TYPE_CHECKING
 
 from .constants import TWO_PI
 from .errors import ConfigError, finite_json_number, is_number
 from .lattice import ChainLattice, get_preset, splitting
-from .magnet import PrismMagnet
-from .mrfm import CAIParams, CantileverModel, ScalabilityParams
+
+if TYPE_CHECKING:
+    from .magnet import PrismMagnet
+    from .mrfm import CAIParams, CantileverModel, ScalabilityParams
 
 __all__ = ["CONFIG_SCHEMA_VERSION", "RunConfig", "load_config",
            "parse_config", "default_config"]
@@ -206,6 +209,8 @@ class RunConfig:
         return dataclasses.replace(get_preset(s["preset"]), **over)
 
     def magnet(self) -> PrismMagnet:
+        from .magnet import PrismMagnet
+
         s = self.raw["magnet"]
         return PrismMagnet(
             w=s["w_m"], h=s["h_m"], d=s["d_m"],
@@ -216,6 +221,8 @@ class RunConfig:
     def scalability(self) -> ScalabilityParams:
         """gamma comes from the lattice, the gradient from spin_system, and
         the plane splitting from both, by lattice.splitting."""
+        from .mrfm import ScalabilityParams
+
         s = self.raw["scalability"]
         lat = self.lattice()
         grad = self.raw["spin_system"]["grad_T_per_m"]
@@ -234,6 +241,8 @@ class RunConfig:
         )
 
     def cai(self) -> CAIParams:
+        from .mrfm import CAIParams
+
         s = self.raw["readout"]
         omega_m = s["omega_m_rad_per_s"]
         return CAIParams(
@@ -245,6 +254,8 @@ class RunConfig:
         )
 
     def cantilever(self) -> CantileverModel:
+        from .mrfm import CantileverModel
+
         s = self.raw["readout"]["cantilever"]
         return CantileverModel(
             spring_constant=s["spring_constant_N_per_m"],

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,13 @@ __all__ = [
     "sample",
     "splitting_profile",
     "plane_homogeneity",
+    "HOMOGENEITY_BLOCK_POINTS",
 ]
+
+# Grid points per field call in plane_homogeneity: the 41 x 41 grid is one
+# call, the 1001 x 1001 config cap 501 calls of 2 rows.  Larger blocks save
+# no time on big grids: their temporaries fall out of the CPU caches.
+HOMOGENEITY_BLOCK_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -71,15 +78,13 @@ class PrismMagnet:
         return ((lo <= r) & (r <= hi)).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     position: tuple[float, float, float]
     bz: float
     grad_bz: tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
+class HomogeneityReport(NamedTuple):
     """Transverse B_z variation over a patch, in units of the local
     plane-to-plane field step a*|dBz/dz|."""
 
@@ -186,7 +191,9 @@ def plane_homogeneity(field_fn, r0, extent_x: float, extent_y: float,
     expressed as a fraction of the plane-to-plane field step a*|dBz/dz| and
     compared against ``threshold``: below it, all equivalent-frequency
     nuclei stay within one plane bandwidth.  The samples x samples grid is
-    evaluated one row at a time, so memory stays O(samples).
+    evaluated in blocks of whole rows, at most HOMOGENEITY_BLOCK_POINTS
+    points each (one row if a row is longer), so memory stays
+    O(max(samples, HOMOGENEITY_BLOCK_POINTS)) whatever the grid size.
     """
     if extent_x < 0 or extent_y < 0:
         raise ConfigError("extents must be non-negative")
@@ -194,12 +201,15 @@ def plane_homogeneity(field_fn, r0, extent_x: float, extent_y: float,
         raise ConfigError("need at least 2 samples per axis")
     r0 = np.asarray(r0, dtype=float)
     b0, g0 = field_fn(r0)
-    row = np.zeros((samples, 3))
-    row[:, 1] = np.linspace(-extent_y / 2, extent_y / 2, samples)
+    xs = np.linspace(-extent_x / 2, extent_x / 2, samples)
+    n_rows = max(1, HOMOGENEITY_BLOCK_POINTS // samples)
+    block = np.zeros((min(n_rows, samples), samples, 3))
+    block[..., 1] = np.linspace(-extent_y / 2, extent_y / 2, samples)
     var = 0.0
-    for x in np.linspace(-extent_x / 2, extent_x / 2, samples):
-        row[:, 0] = x
-        bz = field_fn(r0 + row)[0][:, 2]
+    for start in range(0, samples, n_rows):
+        x = xs[start:start + n_rows]
+        block[:len(x), :, 0] = x[:, None]
+        bz = field_fn(r0 + block[:len(x)])[0][..., 2]
         var = max(var, float(np.max(np.abs(bz - b0[2]))))
     step = float(a * abs(g0[2]))
     # undefined without a plane step, and then not passed

@@ -12,6 +12,7 @@ from __future__ import annotations
 import array
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -243,8 +244,7 @@ def budget_times_l(T2: float, delta_omega: float, n: int) -> float:
     return T2 * delta_omega / (n * n)
 
 
-@dataclass(frozen=True)
-class GateBudget:
+class GateBudget(NamedTuple):
     budget: float          # T2_0 / t_c(n)
     budget_times_l: float  # T2_0 * delta_omega / n^2, independent of L
     cycle_time: float      # s
@@ -260,8 +260,7 @@ def gate_budget(p: ScalabilityParams) -> GateBudget:
     )
 
 
-@dataclass(frozen=True)
-class CAIResult:
+class CAIResult(NamedTuple):
     times: np.ndarray            # s
     iz: np.ndarray               # <Iz>(t)
     detuning: np.ndarray         # rad/s at the sample times

@@ -12,14 +12,16 @@ import functools
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
 from .constants import TWO_PI
 from .errors import (ConfigError, SequenceValidationError, finite_json_number,
                      is_number)
-from .spinsys import SpinSystem, cnot_permutation
+
+if TYPE_CHECKING:
+    from .spinsys import SpinSystem
 
 __all__ = [
     "PulseEvent",
@@ -151,8 +153,7 @@ class SignMatrix:
         return a @ a.T / self.k
 
 
-@dataclass(frozen=True)
-class RecoupleResult:
+class RecoupleResult(NamedTuple):
     matrix: SignMatrix
     degraded_pairs: tuple[tuple[int, int, float], ...]  # (i, j, scale)
 
@@ -331,6 +332,8 @@ def compile_cnot(sys: SpinSystem, control: int, target: int):
     rotations.  Returns (Sequence, perm), perm the ideal target as
     spinsys.cnot_permutation gives it: basis state k goes to perm[k].
     """
+    from .spinsys import cnot_permutation
+
     if abs(control - target) != 1:
         raise ConfigError(
             "compile_cnot supports nearest-neighbor planes only")

@@ -214,6 +214,75 @@ class TestConfig:
             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
+def _chainqc_modules(code: str) -> set:
+    """The chainqc modules a fresh interpreter holds after running code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    report = ("\nimport json, sys\nprint(json.dumps(sorted("
+              "m[len('chainqc.'):] for m in sys.modules "
+              "if m.startswith('chainqc.'))))")
+    done = subprocess.run([sys.executable, "-c", code + report],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+# Modules every command loads: the CLI, its config and what config needs.
+_STARTUP = {"cli", "config", "constants", "errors", "lattice"}
+
+
+# Results that check nothing are NamedTuples, cheap to define at import.
+_RECORDS = [
+    (magnet.FieldSample, ("position", "bz", "grad_bz")),
+    (magnet.HomogeneityReport,
+     ("max_variation_t", "plane_step_t", "variation_fraction", "threshold",
+      "passed")),
+    (mrfm.GateBudget, ("budget", "budget_times_l", "cycle_time")),
+    (mrfm.CAIResult,
+     ("times", "iz", "detuning", "following_figure", "modulation_amplitude",
+      "norm_drift")),
+    (pulses.RecoupleResult, ("matrix", "degraded_pairs")),
+]
+
+
+class TestImports:
+    """A command imports only the models it runs (start-up time)."""
+
+    def test_config_and_pulses_load_no_other_model(self):
+        assert _chainqc_modules(
+            "import chainqc.cli\n"
+            "chainqc.cli.config.load_config(None)") == _STARTUP
+        assert "spinsys" not in _chainqc_modules("import chainqc.pulses")
+
+    @pytest.mark.parametrize("command, models", [
+        ("lattice", set()),
+        ("magnet", {"magnet"}),
+        ("schedule", {"pulses", "mrfm"}),
+        ("simulate", {"pulses", "spinsys"}),
+        ("scalability", {"mrfm"}),
+        ("readout", {"mrfm"}),
+    ])
+    def test_command_loads_its_models(self, tmp_path, command, models):
+        out = tmp_path / "out"
+        code = ("from chainqc import cli\n"
+                f"assert cli.main([{command!r}, '--no-meta', "
+                f"'--out', {str(out)!r}]) == 0")
+        assert _chainqc_modules(code) == _STARTUP | models
+
+    @pytest.mark.parametrize("record, fields", _RECORDS,
+                             ids=[r.__name__ for r, _ in _RECORDS])
+    def test_result_records(self, record, fields):
+        rec = record(**{f: k for k, f in enumerate(fields)})
+        assert rec._fields == fields
+        assert tuple(rec) == tuple(range(len(fields)))
+
+    def test_schedules_are_not_tuples(self):
+        # benchmarks/traced.py tells compile_cnot's (Sequence, perm) from a
+        # Sequence by isinstance(result, tuple).
+        seq = pulses.wahuha(1e-6)
+        assert not isinstance(seq, tuple)
+        assert not isinstance(seq.events[0], tuple)
+
+
 class TestExitCodes:
     def test_malformed_config_exits_2_no_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, {"schema_version": 1, "nope": 1})

@@ -227,6 +227,34 @@ class TestHomogeneity:
         assert rep.variation_fraction is None
         assert not rep.passed
 
+    def test_blocks_match_row_at_a_time(self):
+        # 101 samples per side: five blocks of 20 rows and a last block of
+        # one.  Off-centre in x, the largest variation is in the last row.
+        samples, r0 = 101, np.array([2e-6, 1e-6, 0.0])
+        shapes = []
+
+        def field_fn(r):
+            shapes.append(np.shape(r))
+            return PRISM_FIELD(r)
+
+        rep = magnet.plane_homogeneity(field_fn, r0, 4e-7, 3e-7, 3.442e-10,
+                                       samples=samples)
+        rows = magnet.HOMOGENEITY_BLOCK_POINTS // samples
+        assert 1 < rows < samples and samples % rows != 0
+        assert len(shapes) == 1 + -(-samples // rows)
+        assert sum(math.prod(s[:-1]) for s in shapes[1:]) == samples**2
+
+        bz0 = PRISM_FIELD(r0)[0][2]
+        ys = np.linspace(-1.5e-7, 1.5e-7, samples)
+        row_var = []
+        for x in np.linspace(-2e-7, 2e-7, samples):
+            row = r0 + np.column_stack(
+                [np.full(samples, x), ys, np.zeros(samples)])
+            bz = PRISM_FIELD(row)[0][:, 2]
+            row_var.append(float(np.max(np.abs(bz - bz0))))
+        assert row_var[-1] == max(row_var)
+        assert rep.max_variation_t == max(row_var)
+
     def test_prism_report(self):
         rep = magnet.plane_homogeneity(
             PRISM_FIELD, (0.0, 0.0, 0.0), 2e-8, 2e-8, 3.442e-10, samples=5)
