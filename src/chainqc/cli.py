@@ -336,8 +336,8 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
         params, initial=s["initial"],
         steps_per_period=s["steps_per_period"])
     stride = max(1, len(res.times) // 4000)
-    rows = [[float(res.times[k]), float(res.iz[k]), float(res.detuning[k])]
-            for k in range(0, len(res.times), stride)]
+    rows = np.stack([res.times, res.iz, res.detuning],
+                    axis=1)[::stride].tolist()
     em.table("readout_cai_trace",
              ["t_s", "iz", "detuning_rad_per_s"], rows)
     cant = cfg.cantilever()

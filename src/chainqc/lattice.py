@@ -156,6 +156,14 @@ def splitting(lat: ChainLattice, grad: float) -> float:
 def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
     """Transverse lattice points other than the origin with norm <= radius,
     sorted by (norm, x, y)."""
+    pts, norms = _sites(lat, radius)
+    order = np.lexsort((pts[:, 1], pts[:, 0], norms))
+    return pts[order]
+
+
+def _sites(lat: ChainLattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """chain_sites_within's points and their norms, in coefficient-grid
+    order."""
     if not 0 <= radius < math.inf:
         raise ConfigError("radius must be non-negative and finite")
     B = np.array(lat.transverse_basis, dtype=float).T  # basis as columns
@@ -175,10 +183,7 @@ def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
     pts = coeffs @ B.T
     norms = np.linalg.norm(pts, axis=1)
     mask = (norms <= radius) & ~np.all(coeffs == 0, axis=1)
-    pts = pts[mask]
-    norms = norms[mask]
-    order = np.lexsort((pts[:, 1], pts[:, 0], norms))
-    return pts[order]
+    return pts[mask], norms[mask]
 
 
 def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
@@ -200,9 +205,8 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
     prev = None
     trace = []
     while True:
-        pts = chain_sites_within(lat, radius)
-        lam = np.linalg.norm(pts, axis=1) / lat.a
-        total = float(np.sum(b_coefficient(lam) ** 2))
+        _, norms = _sites(lat, radius)
+        total = float(np.sum(b_coefficient(norms / lat.a) ** 2))
         if include_lower_plane:
             total *= 2.0
         ratio = 0.5 * math.sqrt(total)
@@ -215,7 +219,7 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
                     sigma=ratio * abs(delta),
                     sigma_over_delta=ratio,
                     convergence_radius=radius,
-                    n_sites=len(pts),
+                    n_sites=len(norms),
                     trace=tuple(trace),
                 )
         prev = ratio

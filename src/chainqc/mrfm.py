@@ -9,9 +9,10 @@ adiabatic inversion (CAI) readout.
 
 from __future__ import annotations
 
-import array
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +41,9 @@ __all__ = [
 # Largest CAI trace (three float arrays, 240 MB); the default readout takes
 # 32 000 steps.
 MAX_CAI_STEPS = 10**7
+# Steps per block of the CAI trace: one block's per-step coefficient lists
+# hold a few MB, so the cap's trace arrays dominate its memory.
+_CAI_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -143,9 +147,13 @@ def effective_pure_magnetization(p: ScalabilityParams) -> float:
     e^{n*x}/2) this tends to M^z -> (gamma*hbar*N/2) * ((1 + tanh x)/2)^n,
     dropping a factor 1 - e^{-2*n*x}.
     """
-    x = HBAR * p.gamma * p.B0 / (2.0 * KB * p.temperature)
-    ln_m = (math.log(p.gamma * HBAR * p.N) - p.n * math.log(2.0)
-            + _log_sinh(p.n * x) - p.n * _log_cosh(x))
+    return _magnetization(p.gamma, p.N, p.n, p.B0, p.temperature)
+
+
+def _magnetization(gamma, N, n, B0, temperature) -> float:
+    x = HBAR * gamma * B0 / (2.0 * KB * temperature)
+    ln_m = (math.log(gamma * HBAR * N) - n * math.log(2.0)
+            + _log_sinh(n * x) - n * _log_cosh(x))
     return math.exp(ln_m)
 
 
@@ -209,8 +217,8 @@ def required_field_over_temp(n: int, p: ScalabilityParams) -> float:
     thr = p.detection_threshold
 
     def f(bt: float) -> float:
-        q = replace(p, B0=bt, temperature=1.0, n=n)
-        return readout_force(effective_pure_magnetization(q), p.grad) - thr
+        mz = _magnetization(p.gamma, p.N, n, bt, 1.0)
+        return readout_force(mz, p.grad) - thr
 
     lo, hi = 1e-6, 1e7
     flo, fhi = f(lo), f(hi)
@@ -279,7 +287,10 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     <Iz> sign matches ``initial`` (the turn-on at peak detuning models the
     adiabatic half passage that locks the thermal magnetization to the
     effective field).  Each step is the exact SU(2) propagator of H at its
-    midpoint, applied to the amplitudes (p, q) as two Python complex scalars.
+    midpoint, applied to the amplitudes (p, q) as two Python complex scalars;
+    the step coefficients are built as arrays, block by block, with each
+    transcendental taken element by element from math, so every number has
+    the bits of the scalar expression.
     The adiabatic-following figure compares |<Iz>(t)| against the locked-spin
     prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2) where it exceeds 0.1,
     and is None where it never does.
@@ -316,32 +327,37 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         # orthogonal (anti-aligned) eigenstate, <Iz> < 0 at t = 0
         p, q = complex(sh), complex(-ch)
 
-    # Raw doubles, as the arrays they become: no float object per step.
-    iz = array.array("d")
-    det = array.array("d")
+    iz = np.empty(n_steps)
+    det = np.empty(n_steps)
     norm_drift = 0.0
-    for k in range(n_steps):
-        delta = Om * math.cos(params.omega_m * ((k + 0.5) * dt))
+    for k0 in range(0, n_steps, _CAI_BLOCK):
+        k1 = min(k0 + _CAI_BLOCK, n_steps)
+        k = np.arange(k0, k1)
+        delta = Om * _by_element(math.cos, params.omega_m * ((k + 0.5) * dt))
         # exp(-i H dt) for H = -(delta Iz + w1 Ix) = v . sigma/2
         vx, vz = -w1, -delta
-        nv = math.hypot(vx, vz)
+        nv = _by_element(partial(math.hypot, vx), vz)
         th = 0.5 * nv * dt
-        c, s = math.cos(th), math.sin(th)
+        c, s = _by_element(math.cos, th), _by_element(math.sin, th)
         ux, uz = vx / nv, vz / nv
         # U = c*I - i*s*(ux*sigma_x + uz*sigma_z)
         a = c - 1j * s * uz
         b = -1j * s * ux
-        p, q = a * p + b * q, b * p + a.conjugate() * q
-        iz.append(0.5 * (abs(p)**2 - abs(q)**2))
-        det.append(Om * math.cos(params.omega_m * ((k + 1) * dt)))
+        ps, qs = [], []
+        for ak, bk, ack in zip(a.tolist(), b.tolist(), a.conj().tolist()):
+            p, q = ak * p + bk * q, bk * p + ack * q
+            ps.append(p)
+            qs.append(q)
+        iz[k0:k1] = 0.5 * (_abs_squared(ps) - _abs_squared(qs))
+        det[k0:k1] = Om * _by_element(math.cos,
+                                      params.omega_m * ((k + 1) * dt))
         # grouped as np.linalg.norm groups it: real parts, then imaginary
-        norm = math.sqrt((p.real * p.real + q.real * q.real)
-                         + (p.imag * p.imag + q.imag * q.imag))
-        norm_drift = max(norm_drift, abs(norm - 1.0))
+        pa, qa = np.array(ps, complex), np.array(qs, complex)
+        norm = np.sqrt((pa.real * pa.real + qa.real * qa.real)
+                       + (pa.imag * pa.imag + qa.imag * qa.imag))
+        norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
 
     times = np.arange(1, n_steps + 1) * dt
-    iz = np.asarray(iz)
-    det = np.asarray(det)
     pred = 0.5 * np.abs(det) / np.hypot(det, w1)
     mask = pred > 0.1
     if mask.any():
@@ -354,3 +370,16 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     return CAIResult(times=times, iz=iz, detuning=det,
                      following_figure=following,
                      modulation_amplitude=amp, norm_drift=norm_drift)
+
+
+def _by_element(f, x: np.ndarray) -> np.ndarray:
+    """A math function applied to each element of x: numpy's cos, sin and
+    hypot differ from math's in the last bit."""
+    return np.fromiter(map(f, x.tolist()), float, len(x))
+
+
+def _abs_squared(zs: list[complex]) -> np.ndarray:
+    """abs(z)**2 of Python complex numbers, which np.abs and numpy's
+    square do not reproduce bit for bit."""
+    return np.fromiter(map(math.pow, map(abs, zs), repeat(2.0)), float,
+                       len(zs))

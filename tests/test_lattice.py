@@ -176,6 +176,43 @@ class TestSigmaOverDelta:
         assert both == pytest.approx(base * math.sqrt(2.0), rel=1e-6)
 
 
+def sorted_sigma_over_delta(lat, rel_tol, include_lower_plane):
+    """Reference for sigma_over_delta: the doublings summed over the
+    sorted chain_sites_within, with the norms recomputed.  Returns n_sites
+    and the trace."""
+    radius = 4.0 * lat.min_transverse_spacing
+    prev = None
+    trace = []
+    while True:
+        pts = lattice.chain_sites_within(lat, radius)
+        lam = np.linalg.norm(pts, axis=1) / lat.a
+        total = float(np.sum(lattice.b_coefficient(lam) ** 2))
+        if include_lower_plane:
+            total *= 2.0
+        ratio = 0.5 * math.sqrt(total)
+        trace.append((radius, ratio))
+        if prev is not None and abs(ratio - prev) <= rel_tol * ratio:
+            return len(pts), trace
+        prev = ratio
+        radius *= 2.0
+
+
+@pytest.mark.parametrize("lat", [FAP, CUBIC], ids=lambda lat: lat.name)
+@pytest.mark.parametrize("include_lower_plane", [False, True])
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-6])
+def test_sum_matches_sorted_reference(lat, include_lower_plane, rel_tol):
+    m = lattice.sigma_over_delta(lat, rel_tol, include_lower_plane)
+    n_sites, trace = sorted_sigma_over_delta(lat, rel_tol,
+                                             include_lower_plane)
+    assert m.n_sites == n_sites
+    assert len(m.trace) == len(trace)
+    for (radius, ratio), (ref_radius, ref_ratio) in zip(m.trace, trace):
+        assert radius == ref_radius
+        assert abs(ratio - ref_ratio) <= 1e-14 * ref_ratio
+    assert m.convergence_radius == trace[-1][0]
+    assert m.sigma_over_delta == m.trace[-1][1]
+
+
 class TestSplitting:
     def test_value(self):
         dw = lattice.splitting(FAP, 1.4e6)

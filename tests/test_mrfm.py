@@ -113,6 +113,14 @@ class TestMeasurableQubits:
         assert mrfm.required_field_over_temp(10, DESIGN) == pytest.approx(
             1.61, rel=0.01)
 
+    @pytest.mark.parametrize("p", [
+        DESIGN, replace(DESIGN, N=1e9, grad=2e6, force_threshold=1e-19)],
+        ids=["design", "dense-strong-gradient"])
+    def test_required_field_matches_replace_bisection(self, p):
+        for n in range(1, 61):
+            assert (mrfm.required_field_over_temp(n, p)
+                    == replace_bisection(n, p)), n
+
     def test_copies_underflow_refused(self):
         # ln(gamma * hbar * N) would be a math domain error
         with pytest.raises(ConfigError, match="underflows"):
@@ -122,6 +130,29 @@ class TestMeasurableQubits:
         with pytest.raises(ConvergenceError):
             mrfm.required_field_over_temp(
                 10, replace(DESIGN, force_threshold=1e10))
+
+
+def replace_bisection(n, p):
+    """Reference for required_field_over_temp: the bisection with a
+    validated ScalabilityParams per step."""
+    thr = p.detection_threshold
+
+    def f(bt):
+        q = replace(p, B0=bt, temperature=1.0, n=n)
+        return mrfm.readout_force(
+            mrfm.effective_pure_magnetization(q), p.grad) - thr
+
+    lo, hi = 1e-6, 1e7
+    assert f(lo) <= 0 <= f(hi)
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if f(mid) >= 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi / lo < 1 + 1e-12:
+            break
+    return math.sqrt(lo * hi)
 
 
 class TestGateBudget:
@@ -273,6 +304,21 @@ def test_cai_matches_stepwise_oracle_exactly(params, initial,
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     for name in ("following_figure", "modulation_amplitude", "norm_drift"):
         assert getattr(got, name) == getattr(ref, name), name
+
+
+_ORACLE_CASES = test_cai_matches_stepwise_oracle_exactly.pytestmark[0]
+
+
+@pytest.mark.parametrize(*_ORACLE_CASES.args, **_ORACLE_CASES.kwargs)
+def test_cai_blocks_match_stepwise_oracle_exactly(monkeypatch, params,
+                                                  initial, steps_per_period):
+    # The oracle's cases in blocks of 997 steps: each crosses block
+    # boundaries, so p, q and norm_drift must carry from block to block.
+    monkeypatch.setattr(mrfm, "_CAI_BLOCK", 997)
+    got = mrfm.simulate_cai_readout(params, initial, steps_per_period)
+    assert len(got.times) > 2 * mrfm._CAI_BLOCK
+    test_cai_matches_stepwise_oracle_exactly(params, initial,
+                                             steps_per_period)
 
 
 class TestCAI:
