@@ -145,8 +145,7 @@ def cmd_lattice(cfg: config.RunConfig, em: _Emitter, args):
         "convergence_radius_m": metrics.convergence_radius,
         "n_transverse_sites": metrics.n_sites,
     })
-    if args.verbose:
-        print(f"sigma/delta = {metrics.sigma_over_delta:.6g}")
+    return f"sigma/delta = {metrics.sigma_over_delta:.6g}"
 
 
 def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
@@ -199,8 +198,7 @@ def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
             "passed": rep.passed,
         },
     })
-    if args.verbose and n > 1:
-        print(f"splitting = 2*pi * {deltas[0] / TWO_PI:.6g} Hz")
+    return f"splitting = 2*pi * {deltas[0] / TWO_PI:.6g} Hz" if n > 1 else None
 
 
 def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
@@ -241,9 +239,8 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
         "cycle_time_model_s": t_c,
     })
     em.text("schedule.json", pulses.sequence_to_json(merged))
-    if args.verbose:
-        print(f"schedule: {len(merged.events)} events over "
-              f"{merged.cycle_time:.3e} s")
+    return (f"schedule: {len(merged.events)} events over "
+            f"{merged.cycle_time:.3e} s")
 
 
 def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
@@ -286,8 +283,7 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
     em.table("simulate_trajectory",
              ["t_s"] + [f"iz_plane_{p}" for p in range(sys.n_planes)], rows)
     em.document("simulate_summary", summary)
-    if args.verbose:
-        print(f"fidelity = {fid:.12f}")
+    return f"fidelity = {fid:.12f}"
 
 
 def cmd_scalability(cfg: config.RunConfig, em: _Emitter, args):
@@ -313,13 +309,12 @@ def cmd_scalability(cfg: config.RunConfig, em: _Emitter, args):
             "force_N": mrfm.force_at_n(p, p.n),
             "threshold_N": p.detection_threshold,
         },
-        "max_measurable_qubits": mrfm.max_measurable_qubits(p),
+        "max_measurable_qubits": (n_max := mrfm.max_measurable_qubits(p)),
         "gate_budget": budget.budget,
         "gate_budget_times_L": budget.budget_times_l,
         "cycle_time_s": budget.cycle_time,
     })
-    if args.verbose:
-        print(f"max measurable qubits = {mrfm.max_measurable_qubits(p)}")
+    return f"max measurable qubits = {n_max}"
 
 
 def _t2_tag(t2: float) -> str:
@@ -352,10 +347,11 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
         "warning": params.excursion_warning(s.get("delta_omega_rad_per_s")),
         "thermal_force_noise_N_per_sqrt_Hz": mrfm.thermal_force_noise(cant),
     })
-    if args.verbose and res.following_figure is not None:
-        print(f"following figure = {res.following_figure:.6f}")
+    if res.following_figure is not None:
+        return f"following figure = {res.following_figure:.6f}"
 
 
+# Each command returns its --verbose summary line, or None.
 _COMMANDS = {
     "lattice": cmd_lattice,
     "magnet": cmd_magnet,
@@ -399,7 +395,9 @@ def main(argv=None) -> int:
             raise ConfigError("--threads must be at least 1")
         cfg = config.load_config(args.config)
         em = _Emitter(args.out, args.format, not args.no_meta, args.command)
-        _COMMANDS[args.command](cfg, em, args)
+        line = _COMMANDS[args.command](cfg, em, args)
+        if args.verbose and line is not None:
+            print(line)
         written = em.flush()
         if args.verbose:
             for path in written:

@@ -13,7 +13,7 @@ import copy
 import dataclasses
 import json
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import TWO_PI
 from .errors import ConfigError, finite_json_number, is_number
@@ -189,8 +189,7 @@ def _validate(spec: dict, obj, path: str) -> dict:
     return out
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Validated configuration with defaults applied."""
 
     raw: dict

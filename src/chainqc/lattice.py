@@ -14,7 +14,8 @@ All frequencies are angular (rad/s).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +72,7 @@ class ChainLattice:
         return float(np.linalg.norm(pts[0]))
 
 
-@dataclass(frozen=True)
-class CouplingMetrics:
+class CouplingMetrics(NamedTuple):
     """Result of the effective-linewidth lattice sum."""
 
     delta_omega_nn: float       # nearest-neighbor intra-chain coupling, rad/s
@@ -80,11 +80,7 @@ class CouplingMetrics:
     sigma_over_delta: float     # dimensionless ratio
     convergence_radius: float   # final cutoff used, m
     n_sites: int                # transverse sites inside the final cutoff
-    trace: tuple = field(default_factory=tuple)  # (radius, ratio) per doubling
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ConfigError("sigma must be non-negative")
+    trace: tuple = ()           # (radius, ratio) per doubling
 
 
 # Fluorapatite: F- chains along c, a = c/2; chains form a triangular lattice

@@ -9,6 +9,7 @@ adiabatic inversion (CAI) readout.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import partial
@@ -183,27 +184,18 @@ def max_measurable_qubits(p: ScalabilityParams) -> int:
     F(1) = F(2) exactly (both are gamma*hbar*N*|G|*tanh(x)/2), and ln F is
     concave in n (d^2/dn^2 ln sinh(n*x) < 0), so the force peaks at n in
     {1, 2} and decreases beyond.  Returns 0 when the peak is below
-    threshold; otherwise the crossing is bracketed by doubling and found
-    by bisection.
+    threshold; otherwise "F < thr" is monotone over 2 <= n < _N_SCAN_CAP
+    and its first n is found by bisection.  ConvergenceError when
+    F(_N_SCAN_CAP) still clears the threshold.
     """
     thr = p.detection_threshold
     if max(force_at_n(p, 1), force_at_n(p, 2)) < thr:
         return 0
-    lo = 1
-    hi = 2
-    while force_at_n(p, hi) >= thr:
-        lo = hi
-        hi *= 2
-        if hi > _N_SCAN_CAP:
-            raise ConvergenceError(
-                f"measurable-qubit search exceeded n={_N_SCAN_CAP}")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if force_at_n(p, mid) >= thr:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if force_at_n(p, _N_SCAN_CAP) >= thr:
+        raise ConvergenceError(
+            f"measurable-qubit search exceeded n={_N_SCAN_CAP}")
+    return bisect.bisect_left(range(2, _N_SCAN_CAP), True,
+                              key=lambda n: force_at_n(p, n) < thr) + 1
 
 
 def required_field_over_temp(n: int, p: ScalabilityParams) -> float:
@@ -330,6 +322,7 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     iz = np.empty(n_steps)
     det = np.empty(n_steps)
     norm_drift = 0.0
+    figures = []  # each block's min |<Iz>| / prediction
     for k0 in range(0, n_steps, _CAI_BLOCK):
         k1 = min(k0 + _CAI_BLOCK, n_steps)
         k = np.arange(k0, k1)
@@ -349,8 +342,13 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
             ps.append(p)
             qs.append(q)
         iz[k0:k1] = 0.5 * (_abs_squared(ps) - _abs_squared(qs))
-        det[k0:k1] = Om * _by_element(math.cos,
-                                      params.omega_m * ((k + 1) * dt))
+        d = det[k0:k1] = Om * _by_element(math.cos,
+                                          params.omega_m * ((k + 1) * dt))
+        pred = 0.5 * np.abs(d) / np.hypot(d, w1)
+        mask = pred > 0.1
+        if mask.any():
+            figures.append(
+                float(np.min(np.abs(iz[k0:k1][mask]) / pred[mask])))
         # grouped as np.linalg.norm groups it: real parts, then imaginary
         pa, qa = np.array(ps, complex), np.array(qs, complex)
         norm = np.sqrt((pa.real * pa.real + qa.real * qa.real)
@@ -358,17 +356,11 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
 
     times = np.arange(1, n_steps + 1) * dt
-    pred = 0.5 * np.abs(det) / np.hypot(det, w1)
-    mask = pred > 0.1
-    if mask.any():
-        following = float(np.min(np.abs(iz[mask]) / pred[mask]))
-    else:
-        following = None
     # Fourier amplitude at omega_m over the integer number of periods.
     phase = np.exp(-1j * params.omega_m * times)
     amp = 2.0 * abs(np.sum(iz * phase)) / n_steps
     return CAIResult(times=times, iz=iz, detuning=det,
-                     following_figure=following,
+                     following_figure=min(figures, default=None),
                      modulation_amplitude=amp, norm_drift=norm_drift)
 
 

@@ -184,14 +184,13 @@ def wahuha(tau: float, pulse_width: float = 0.0) -> Sequence:
 
 
 def hadamard_sign_matrix(n: int) -> SignMatrix:
-    """First n rows of the Sylvester Hadamard matrix of order 2^ceil(log2(max(n,2)))."""
+    """First n rows of the Sylvester Hadamard matrix of order
+    k = 2^ceil(log2(max(n, 2))): entry (i, j) is (-1)^popcount(i & j)."""
     if n < 1:
         raise ConfigError("n must be at least 1")
     k = 1 << max(1, math.ceil(math.log2(max(n, 2))))
-    H = np.ones((1, 1), dtype=int)
-    while len(H) < k:
-        H = np.block([[H, H], [H, -H]])
-    return SignMatrix(tuple(tuple(int(x) for x in H[i]) for i in range(n)))
+    return SignMatrix(tuple(tuple(1 - 2 * ((i & j).bit_count() & 1)
+                                  for j in range(k)) for i in range(n)))
 
 
 def decoupling_schedule(m: SignMatrix, slot: float,

@@ -448,19 +448,8 @@ def _pulse_step(sys: SpinSystem, event):
 
 
 def _power_cost(p: int) -> int:
-    """Matrix products _power_times makes for exponent p."""
-    return p.bit_length() - 1 + p.bit_count() if p else 0
-
-
-def _power_times(A: np.ndarray, p: int, B: np.ndarray) -> np.ndarray:
-    """A**p @ B by binary powering, in _power_cost(p) products."""
-    while p:
-        if p & 1:
-            B = A @ B
-        p >>= 1
-        if p:
-            A = A @ A
-    return B
+    """Products in np.linalg.matrix_power(A, p) @ B (binary powering), p >= 1."""
+    return p.bit_length() - 1 + p.bit_count()
 
 
 def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
@@ -512,7 +501,8 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
         Y = r0_dag * X.reshape(sys.dim, -1)
         P = cache.get(pulse_shape)
         if P is None and n_steps * Y.shape[1] > cost * sys.dim:
-            P = cache[pulse_shape] = _power_times(W * D, n_steps - 1, W)
+            P = cache[pulse_shape] = (
+                np.linalg.matrix_power(W * D, n_steps - 1) @ W)
         if P is not None:
             Y = P @ Y
         else:

@@ -241,6 +241,10 @@ _RECORDS = [
      ("times", "iz", "detuning", "following_figure", "modulation_amplitude",
       "norm_drift")),
     (pulses.RecoupleResult, ("matrix", "degraded_pairs")),
+    (lattice.CouplingMetrics,
+     ("delta_omega_nn", "sigma", "sigma_over_delta", "convergence_radius",
+      "n_sites", "trace")),
+    (config.RunConfig, ("raw",)),
 ]
 
 
@@ -855,6 +859,43 @@ class TestOutputs:
             assert summary["warning"] == (
                 f"frequency excursion {excursion:.3e} rad/s is not small "
                 f"compared to the plane splitting {delta_omega:.3e} rad/s")
+
+    @pytest.mark.parametrize("command, sections, line, files", [
+        ("lattice", {}, "sigma/delta = 0.0173917",
+         ["lattice_coupling.csv", "lattice_b_coefficient.csv",
+          "lattice_sigma_trace.csv", "lattice_summary.json"]),
+        ("magnet", {}, "splitting = 2*pi * 2343.83 Hz",
+         ["magnet_splitting_profile.csv", "magnet_field_map.csv",
+          "magnet_summary.json"]),
+        ("magnet", {"magnet": {"n_planes": 1}}, None,
+         ["magnet_splitting_profile.csv", "magnet_field_map.csv",
+          "magnet_summary.json"]),
+        ("schedule", {}, "schedule: 22 events over 2.400e-05 s",
+         ["schedule_timeline.csv", "schedule_validation.json",
+          "schedule.json"]),
+        ("simulate", {}, "fidelity = 1.000000000000",
+         ["simulate_trajectory.csv", "simulate_summary.json"]),
+        ("scalability", {}, "max measurable qubits = 10",
+         ["scalability_curve.csv", "scalability_summary.json"]),
+        ("readout", {}, "following figure = 0.999393",
+         ["readout_cai_trace.csv", "readout_summary.json"]),
+        ("readout", {"readout": {"excursion_rad_per_s": 1.0}}, None,
+         ["readout_cai_trace.csv", "readout_summary.json"]),
+    ], ids=["lattice", "magnet", "magnet-one-plane", "schedule", "simulate",
+            "scalability", "readout", "readout-no-figure"])
+    def test_verbose_stdout(self, tmp_path, capsys, command, sections, line,
+                            files):
+        # the summary line, where a command has one, then the files written
+        cfg = write_cfg(tmp_path, _v1(**sections))
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run([command, "--config", cfg, "--out", str(out),
+                    "--verbose"]) == 0
+        lines = [f"wrote {out / f}" for f in files]
+        if line is not None:
+            lines.insert(0, line)
+        assert capsys.readouterr().out == "".join(f"{x}\n" for x in lines)
 
 
 class TestDeterminism:

@@ -97,6 +97,20 @@ class TestMeasurableQubits:
         assert answers & {1, 2}
         assert max(answers) >= 100
 
+    def test_scan_cap(self, monkeypatch):
+        # the count is searched up to the cap; only a force that still
+        # clears the threshold at the cap raises
+        monkeypatch.setattr(mrfm, "_N_SCAN_CAP", 100)
+        p = replace(DESIGN, B0=1000.0, temperature=1.0)
+        expect = max(n for n in range(1, 100)
+                     if mrfm.force_at_n(p, n) >= p.detection_threshold)
+        assert 64 <= expect < 100
+        assert mrfm.max_measurable_qubits(p) == expect
+        p = replace(p, B0=1200.0)
+        assert mrfm.force_at_n(p, 100) >= p.detection_threshold
+        with pytest.raises(ConvergenceError, match="exceeded n=100"):
+            mrfm.max_measurable_qubits(p)
+
     def test_required_field_monotone(self):
         vals = [mrfm.required_field_over_temp(n, DESIGN)
                 for n in (2, 5, 10, 30, 100, 300)]

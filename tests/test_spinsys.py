@@ -205,11 +205,11 @@ class TestQuantumState:
 
 @pytest.fixture
 def exponents(monkeypatch):
-    """Exponents passed to spinsys._power_times: one per pulse operator."""
+    """Exponents passed to np.linalg.matrix_power: one per pulse operator."""
     seen = []
-    power = spinsys._power_times
-    monkeypatch.setattr(spinsys, "_power_times",
-                        lambda A, p, B: seen.append(p) or power(A, p, B))
+    power = np.linalg.matrix_power
+    monkeypatch.setattr(np.linalg, "matrix_power",
+                        lambda A, p: seen.append(p) or power(A, p))
     return seen
 
 
