@@ -45,9 +45,7 @@ class _Emitter:
 
     def table(self, name: str, header: list[str], rows: list[list]):
         if self.fmt == "json":
-            self.document(name, {"header": header,
-                                 "rows": [[_jcell(v) for v in row]
-                                          for row in rows]})
+            self.document(name, {"header": header, "rows": rows})
             return
         if any(isinstance(v, float) and not math.isfinite(v)
                for row in rows for v in row):
@@ -95,12 +93,6 @@ def _cell(v) -> str:
         return "nan"
     if isinstance(v, float):
         return repr(v)
-    return str(v)
-
-
-def _jcell(v):
-    if v is None or isinstance(v, (int, float, str)):
-        return v
     return str(v)
 
 
@@ -248,6 +240,9 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
 
     ss = cfg.section("spin_system")
     seq_cfg = cfg.section("sequence")
+    if seq_cfg["pi_width_s"] != 0:
+        raise ConfigError("simulate runs zero-width pulses; "
+                          "sequence.pi_width_s must be 0")
     lat = cfg.lattice()
     sys = spinsys.build_system(
         lat, ss["n_planes"], ss["chain_positions_a"], ss["grad_T_per_m"],
@@ -257,8 +252,7 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
                "schedule": ss["schedule"]}
     if ss["schedule"] == "decoupling":
         m = pulses.hadamard_sign_matrix(ss["n_planes"])
-        seq = pulses.decoupling_schedule(m, seq_cfg["slot_s"],
-                                         seq_cfg["pi_width_s"])
+        seq = pulses.decoupling_schedule(m, seq_cfg["slot_s"])
         U = spinsys.propagator(sys, seq, mode="ideal")
         fid, phases = spinsys.diagonal_z_fidelity(U.matrix)
         summary["identity_fidelity"] = fid

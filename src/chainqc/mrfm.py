@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
 from typing import NamedTuple
@@ -172,7 +172,8 @@ def thermal_force_noise(c: CantileverModel) -> float:
 
 
 def force_at_n(p: ScalabilityParams, n: int) -> float:
-    return readout_force(effective_pure_magnetization(replace(p, n=n)), p.grad)
+    return readout_force(
+        _magnetization(p.gamma, p.N, n, p.B0, p.temperature), p.grad)
 
 
 _N_SCAN_CAP = 100_000

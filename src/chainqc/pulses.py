@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
@@ -301,9 +301,7 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
 
 def _norm_flip(angle: float) -> float:
     """Map an angle to (0, 2*pi]; returns 0.0 for a no-op rotation."""
-    a = math.fmod(angle, TWO_PI)
-    if a < 0:
-        a += TWO_PI
+    a = angle % TWO_PI
     if a < 1e-15 or TWO_PI - a < 1e-15:
         return 0.0
     return a
@@ -372,23 +370,13 @@ def compile_cnot(sys: SpinSystem, control: int, target: int):
 SCHEDULE_SCHEMA_VERSION = 1
 
 
-def _event_to_obj(ev: PulseEvent) -> dict:
-    return {
-        "t_start": ev.t_start,
-        "duration": ev.duration,
-        "flip_angle": ev.flip_angle,
-        "phase": ev.phase,
-        "target": ev.target,
-    }
-
-
 def sequence_to_json(seq: Sequence) -> str:
     """Canonical JSON text (sorted keys, minimal separators, trailing newline)."""
     obj = {
         "schema_version": SCHEDULE_SCHEMA_VERSION,
         "label": seq.label,
         "cycle_time": seq.cycle_time,
-        "events": [_event_to_obj(e) for e in seq.events],
+        "events": [asdict(e) for e in seq.events],
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 

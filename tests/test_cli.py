@@ -294,6 +294,12 @@ class TestExitCodes:
         assert run(["lattice", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_zero_threads_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["lattice", "--threads", "0", "--out", str(out)]) == 2
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spin_cap_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,
@@ -408,6 +414,8 @@ class TestExitCodes:
         ("simulate", {"lattice": {"a_m": 1.7e308},       # chain offsets
                       "spin_system": {"n_planes": 1, "chain_positions_a":
                                       [[0.0, 0.0], [2.7214, 0.0]]}}, 2),
+        ("simulate", {"lattice": {"a_m": 1e70},          # CNOT z rotation
+                      "spin_system": {"n_planes": 2, "schedule": "cnot"}}, 2),
     ])
     def test_overflow_exits_without_warning(self, tmp_path, capsys, command,
                                             body, code):
@@ -427,13 +435,17 @@ class TestExitCodes:
         assert "steps, more than the limit" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_simulate_finite_pi_width_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, _v1(spin_system={"n_planes": 2},
-                                      sequence={"pi_width_s": 1e-6}))
+    @pytest.mark.parametrize("schedule", ["decoupling", "cnot"])
+    def test_simulate_finite_pi_width_exits_2(self, tmp_path, capsys,
+                                              schedule):
+        cfg = write_cfg(tmp_path, _v1(
+            spin_system={"n_planes": 2, "schedule": schedule},
+            sequence={"pi_width_s": 1e-7}))
         out = tmp_path / "o"
         assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "zero-width" in err and "Traceback" not in err
+        assert "zero-width" in err and "sequence.pi_width_s" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, section, key, cap", [

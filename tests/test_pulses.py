@@ -234,6 +234,20 @@ class TestInterleave:
             pulses.interleave(bb, sel)
         assert len(exc.value.offenders) >= 1
 
+    def test_unplaceable_pulse_listed(self):
+        # Each width fits the 1 us windows, but the first two pulses take
+        # [4, 4.9] and [5, 5.9] tau, so the third finds no room before 6 tau.
+        tau = 1e-6
+        sel = Sequence(tuple(
+            PulseEvent(t * tau, w * tau, math.pi, PHASE_X, 0)
+            for t, w in ((3.9, 0.9), (4.8, 0.9), (5.7, 0.25))),
+            cycle_time=6 * tau)
+        with pytest.raises(SequenceValidationError,
+                           match="do not fit the broadband free windows") \
+                as exc:
+            pulses.interleave(pulses.wahuha(tau), sel)
+        assert exc.value.offenders == [sel.events[2]]
+
 
 class TestCompileCnot:
     @staticmethod
