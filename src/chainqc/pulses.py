@@ -345,6 +345,9 @@ def compile_cnot(sys: SpinSystem, control: int, target: int):
     if J is None or J == 0.0:
         raise ConfigError("no zz coupling between the requested planes")
     t_evol = math.pi / abs(J)
+    if not math.isfinite(t_evol):
+        raise ConfigError(f"CNOT gate time pi/|J| is not finite "
+                          f"(J = {J:.3e} rad/s)")
     s = 1.0 if J > 0 else -1.0
     half = 0.5 * math.pi
     events: list[PulseEvent] = [
@@ -358,6 +361,10 @@ def compile_cnot(sys: SpinSystem, control: int, target: int):
             # s*pi/2 closes the controlled phase; the extra -pi converts the
             # leftover conditional sign on the flip block into a global phase.
             alpha += s * half - math.pi
+        if not math.isfinite(alpha):
+            raise ConfigError(f"CNOT z rotation of plane {p} overflows: "
+                              f"offset {sys.offsets[p]:.3e} rad/s times gate "
+                              f"time pi/|J| = {t_evol:.3e} s")
         events.extend(_z_rotation_events(p, alpha, t_evol))
     events.append(PulseEvent(t_evol, 0.0, half, PHASE_Y, target))
     seq = Sequence(tuple(events), cycle_time=t_evol,

@@ -28,10 +28,10 @@ reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
 A sampled (finite-width) pulse writes its drive from the same bit table;
 the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
 differ only by diagonal phases that advance by the same D each step, so the
-whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag
-for every operand, the bracket one cached operator per pulse shape (binary
-powering) where that costs fewer flops than its n matvecs W (D Y).  The
-average Hamiltonian keeps one 3x3 rotation per plane, written by H's writer.
+whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag,
+the bracket one operator per pulse shape (binary powering) that a state
+vector, a density matrix and a propagator all go through.  The average
+Hamiltonian keeps one 3x3 rotation per plane, written by H's writer.
 """
 
 from __future__ import annotations
@@ -447,11 +447,6 @@ def _pulse_step(sys: SpinSystem, event):
     return step
 
 
-def _power_cost(p: int) -> int:
-    """Products in np.linalg.matrix_power(A, p) @ B (binary powering), p >= 1."""
-    return p.bit_length() - 1 + p.bit_count()
-
-
 def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     """X -> U X for a finite pulse: a rotating-wave drive on every spin.
 
@@ -465,11 +460,10 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     the product of all n sub-steps is P = r_{n-1} (W D)^(n-1) W r_0^dag.
 
     ``cache`` belongs to one walk: W per (w1, dt), and the bracket
-    (W D)^(n-1) W per pulse shape (w1, dt, wd, n), used only where building
-    it costs fewer flops than its n matvecs W (D Y): n m > products d for an
-    operand of m columns, so a state vector takes the matvecs.
+    (W D)^(n-1) W per pulse shape (w1, dt, wd, n) for every operand.
     """
-    w1 = event.flip_angle / event.duration
+    where = (f"finite pulse at t = {event.t_start:.6g} s, "
+             f"width {event.duration:.3g} s")
     if event.target != "broadband":
         sys.plane_spins(event.target)  # ConfigError when out of range
     wd = 0.0 if event.target == "broadband" else sys.offsets[event.target]
@@ -477,20 +471,27 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     dt = event.duration / 10.0
     if max_off > 0:
         dt = min(dt, 1.0 / (20.0 * max_off))
+    if not (dt > 0 and math.isfinite(event.duration / dt)):
+        raise ConfigError(f"{where}: its sub-step of {dt:.3g} s gives no "
+                          f"finite sub-step count")
     n_steps = max(1, int(math.ceil(event.duration / dt)))
     dt = event.duration / n_steps
-    if dt <= 0:
-        raise ConfigError("sampled-pulse step underflow")
-    W = cache.get((w1, dt))
-    if W is None:
-        fields, tensors = sys._terms()
-        fields[:, 0] = -w1  # H - w1 Fx
-        W = cache[(w1, dt)] = _expm_real_sym(
-            _bit_operator(sys, fields, tensors), dt)
+    w1 = event.flip_angle / event.duration
+    if not math.isfinite(w1):
+        raise ConfigError(f"{where}: flip_angle/width is not finite")
     fz = sys._iz_table.sum(axis=1)
-    D = np.exp(1j * wd * dt * fz)
     pulse_shape = (w1, dt, wd, n_steps)
-    cost = _power_cost(n_steps - 1)
+    P = cache.get(pulse_shape)
+    if P is None:
+        W = cache.get((w1, dt))
+        if W is None:
+            fields, tensors = sys._terms()
+            fields[:, 0] = -w1  # H - w1 Fx
+            W = cache[(w1, dt)] = _expm_real_sym(
+                _bit_operator(sys, fields, tensors), dt)
+        D = np.exp(1j * wd * dt * fz)
+        P = cache[pulse_shape] = (
+            np.linalg.matrix_power(W * D, n_steps - 1) @ W)
 
     def phase(j):  # r_j at sub-step j's midpoint drive phase
         ph = wd * (event.t_start + (j + 0.5) * dt) + event.phase
@@ -498,17 +499,7 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     r0_dag, r_last = phase(0).conj(), phase(n_steps - 1)
 
     def step(X):
-        Y = r0_dag * X.reshape(sys.dim, -1)
-        P = cache.get(pulse_shape)
-        if P is None and n_steps * Y.shape[1] > cost * sys.dim:
-            P = cache[pulse_shape] = (
-                np.linalg.matrix_power(W * D, n_steps - 1) @ W)
-        if P is not None:
-            Y = P @ Y
-        else:
-            Y = W @ Y
-            for _ in range(n_steps - 1):
-                Y = W @ (D[:, None] * Y)
+        Y = P @ (r0_dag * X.reshape(sys.dim, -1))
         return (r_last * Y).reshape(X.shape)
     return step
 

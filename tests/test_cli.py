@@ -424,8 +424,13 @@ class TestExitCodes:
         cfg = write_cfg(tmp_path, _v1(**body))
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == code
-        assert "Traceback" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
         assert not out.exists()
+        if body.get("spin_system", {}).get("schedule") == "cnot":
+            # the cause: plane 1's offset times the gate time pi/|J|
+            assert "CNOT z rotation of plane 1 overflows" in err
+            assert "rad/s times gate time pi/|J|" in err
 
     @pytest.mark.parametrize("omega_m", [1e-300, 1e-320])
     def test_readout_step_cap_exits_2(self, tmp_path, capsys, omega_m):

@@ -1,6 +1,7 @@
 """Exact spin dynamics: operators, Hamiltonians, propagation, fidelities."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -331,18 +332,18 @@ class TestEvolution:
         # one chain: the free windows' sectors are single states, no eigh
         assert len(calls) == n_shapes
 
-    def test_pulse_operator_only_where_it_saves_flops(self, exponents):
-        # WAHUHA at 3 spins: 10 sub-steps per pulse against 5 products to
-        # build (W D)^9 W, so a state vector (1 column) keeps its sub-steps
-        # and a d x d operand builds the operator once per walk
+    def test_pulse_operator_built_once_per_walk(self, exponents):
+        # WAHUHA at 3 spins: one pulse shape of 10 sub-steps, so a state
+        # vector, a density matrix and a propagator each build (W D)^9 W
+        # once per walk, whatever their number of columns
         sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
         seq = pulses.wahuha(1e-6, 2e-7)
         spinsys.evolve(sys, seq, QuantumState.all_plus_x(3), "sampled")
-        assert exponents == []
-        spinsys.evolve(sys, seq, maximally_mixed(3), "sampled")
         assert exponents == [9]
-        spinsys.propagator(sys, seq, mode="sampled")
+        spinsys.evolve(sys, seq, maximally_mixed(3), "sampled")
         assert exponents == [9, 9]
+        spinsys.propagator(sys, seq, mode="sampled")
+        assert exponents == [9, 9, 9]
 
     def test_long_pulse_propagator_is_fast(self, exponents):
         # about 10^5 sub-steps, built by binary powering in ~30 products
@@ -373,6 +374,23 @@ class TestEvolution:
             spinsys.propagator(sys, seq, mode=mode)
         with pytest.raises(ConfigError, match="plane 5 out of range"):
             spinsys.evolve(sys, seq, QuantumState.all_up(3), mode=mode)
+
+    @pytest.mark.parametrize("width, flip, offset", [
+        (5e-324, math.pi, 1e5),    # the sub-step underflows to 0
+        (5e-324, 1e-300, 1e5),
+        (1e10, math.pi, 1e300),    # width over the sub-step overflows
+        (1e-310, math.pi, 1e5),    # flip_angle/width overflows to inf
+        (1e-320, math.pi, 1e5),
+    ])
+    def test_unsampleable_finite_pulse_rejected(self, width, flip, offset):
+        sys = SpinSystem(2, ((0.0, 0.0),), (0.0, offset), ())
+        ev = pulses.PulseEvent(1e-6, width, flip, pulses.PHASE_X, 0)
+        seq = pulses.Sequence((ev,), cycle_time=2e-6 + width)
+        where = f"finite pulse at t = 1e-06 s, width {width:.3g} s"
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            spinsys.propagator(sys, seq, mode="sampled")
+        with pytest.raises(ConfigError, match=re.escape(where)):
+            spinsys.evolve(sys, seq, QuantumState.all_up(2), mode="sampled")
 
     def test_propagator_unitary_check(self):
         with pytest.raises(ConfigError):
