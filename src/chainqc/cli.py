@@ -8,20 +8,18 @@ byte-identical files once the timestamped meta line is disabled with
 error or numerical failure.
 
 Each command imports the model modules it runs inside its own function, so
-a process pays at start-up only for those.
+a process pays at start-up only for those; numpy loads only with a model
+that computes arrays, never for `schedule` or `scalability`.
 """
 
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import json
 import math
 import sys as _sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__, config
 from .constants import TWO_PI
@@ -71,6 +69,8 @@ class _Emitter:
         self.files.append((file_name, text))
 
     def _meta_line(self) -> str:
+        import datetime
+
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         return f"chainqc {__version__} {self.command} {stamp}"
 
@@ -141,6 +141,8 @@ def cmd_lattice(cfg: config.RunConfig, em: _Emitter, args):
 
 
 def cmd_magnet(cfg: config.RunConfig, em: _Emitter, args):
+    import numpy as np
+
     from . import magnet
 
     s = cfg.section("magnet")
@@ -225,7 +227,7 @@ def cmd_schedule(cfg: config.RunConfig, em: _Emitter, args):
         "hadamard_order": m.k,
         "cycle_time_s": merged.cycle_time,
         "n_events": len(merged.events),
-        "effective_coupling_scales": m.scales.tolist(),
+        "effective_coupling_scales": [list(r) for r in m.scales],
         "recoupled_pair": list(pair) if pair else None,
         "degraded_pairs": [[i, j, sc] for i, j, sc in degraded],
         "cycle_time_model_s": t_c,
@@ -317,6 +319,8 @@ def _t2_tag(t2: float) -> str:
 
 
 def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
+    import numpy as np
+
     from . import mrfm
 
     s = cfg.section("readout")
@@ -405,9 +409,19 @@ def main(argv=None) -> int:
         for off in exc.offenders:
             print(f"  offender: {off}", file=_sys.stderr)
         return 3
-    except (ConvergenceError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=_sys.stderr)
         return 3
+
+
+def _numerical_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 3 as a numerical failure.  numpy can raise
+    LinAlgError only once a model has loaded it, so it is looked up when an
+    exception arrives rather than imported at start-up."""
+    linalg = _sys.modules.get("numpy.linalg")
+    if linalg is None:
+        return ConvergenceError, ArithmeticError
+    return ConvergenceError, ArithmeticError, linalg.LinAlgError
 
 
 if __name__ == "__main__":

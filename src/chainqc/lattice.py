@@ -8,19 +8,22 @@ coefficient b(lambda), the effective-linewidth ratio sigma/delta_omega
 obtained by summing b^2 over the transverse lattice, and the gradient-induced
 splitting between adjacent planes.
 
-All frequencies are angular (rad/s).
+All frequencies are angular (rad/s).  numpy is imported inside the functions
+that build arrays, so `config`, which imports this module, and the scalar
+formulas run without it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, MU0_OVER_4PI, TWO_PI
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ChainLattice",
@@ -67,6 +70,8 @@ class ChainLattice:
     @property
     def min_transverse_spacing(self) -> float:
         """Distance to the nearest transverse neighbor chain."""
+        import numpy as np
+
         pts = chain_sites_within(self, 4.0 * max(
             np.linalg.norm(v) for v in self.transverse_basis))
         return float(np.linalg.norm(pts[0]))
@@ -135,6 +140,8 @@ def b_coefficient(lam):
     lambda is the transverse distance in units of the chain spacing a.
     b(0) = -1 recovers the in-chain nearest-neighbor coupling.
     """
+    import numpy as np
+
     lam = np.asarray(lam, dtype=float)
     if np.any(lam < 0):
         raise ConfigError("lambda must be non-negative")
@@ -152,6 +159,8 @@ def splitting(lat: ChainLattice, grad: float) -> float:
 def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
     """Transverse lattice points other than the origin with norm <= radius,
     sorted by (norm, x, y)."""
+    import numpy as np
+
     pts, norms = _sites(lat, radius)
     order = np.lexsort((pts[:, 1], pts[:, 0], norms))
     return pts[order]
@@ -160,6 +169,8 @@ def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
 def _sites(lat: ChainLattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
     """chain_sites_within's points and their norms, in coefficient-grid
     order."""
+    import numpy as np
+
     if not 0 <= radius < math.inf:
         raise ConfigError("radius must be non-negative and finite")
     B = np.array(lat.transverse_basis, dtype=float).T  # basis as columns
@@ -194,6 +205,8 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
     ``include_lower_plane`` additionally counts the copies in plane i-1
     (sensitivity study; the baseline sum covers one plane only).
     """
+    import numpy as np
+
     if not rel_tol > 0:
         raise ConfigError("rel_tol must be positive")
     spacing = lat.min_transverse_spacing

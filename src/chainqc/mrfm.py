@@ -4,7 +4,8 @@ Covers the effective-pure-state magnetization (evaluated in log space so
 large qubit counts do not overflow), the gradient readout force, cantilever
 thermal force noise, the measurable-qubit and required-field curves, the
 cycle-time and gate-budget models, and a single-spin simulation of cyclic
-adiabatic inversion (CAI) readout.
+adiabatic inversion (CAI) readout.  The scalability formulas are plain
+`math`; only the CAI simulation imports numpy.
 """
 
 from __future__ import annotations
@@ -14,12 +15,13 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, KB, TWO_PI
 from .errors import ConfigError, ConvergenceError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "CantileverModel",
@@ -288,6 +290,8 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2) where it exceeds 0.1,
     and is None where it never does.
     """
+    import numpy as np
+
     if initial not in ("up", "down"):
         raise ConfigError("initial must be 'up' or 'down'")
     if not steps_per_period >= 1:
@@ -368,11 +372,15 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
 def _by_element(f, x: np.ndarray) -> np.ndarray:
     """A math function applied to each element of x: numpy's cos, sin and
     hypot differ from math's in the last bit."""
+    import numpy as np
+
     return np.fromiter(map(f, x.tolist()), float, len(x))
 
 
 def _abs_squared(zs: list[complex]) -> np.ndarray:
     """abs(z)**2 of Python complex numbers, which np.abs and numpy's
     square do not reproduce bit for bit."""
+    import numpy as np
+
     return np.fromiter(map(math.pow, map(abs, zs), repeat(2.0)), float,
                        len(zs))

@@ -11,10 +11,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Union
-
-import numpy as np
 
 from .constants import TWO_PI
 from .errors import (ConfigError, SequenceValidationError, finite_json_number,
@@ -146,11 +145,13 @@ class SignMatrix:
         return len(self.rows[0]) if self.rows else 0
 
     @functools.cached_property
-    def scales(self) -> np.ndarray:
-        """(n, n) Gram matrix row_i . row_j / k: the fraction of the zz
-        coupling between planes i and j surviving the schedule."""
-        a = np.array(self.rows, dtype=int).reshape(self.n, self.k)
-        return a @ a.T / self.k
+    def scales(self) -> tuple[tuple[float, ...], ...]:
+        """n rows of the Gram matrix row_i . row_j / k: the fraction of the
+        zz coupling between planes i and j surviving the schedule.  The dot
+        product is an exact integer, so each entry is one correctly rounded
+        division."""
+        return tuple(tuple(sum(map(operator.mul, ri, rj)) / self.k
+                           for rj in self.rows) for ri in self.rows)
 
 
 class RecoupleResult(NamedTuple):
@@ -206,14 +207,17 @@ def decoupling_schedule(m: SignMatrix, slot: float,
     if pi_width < 0 or pi_width > slot / 4:
         raise ConfigError("pi_width must satisfy 0 <= width <= slot/4")
     k = m.k
-    # Sign changes along each row, padded with the +1 start and end frames.
-    a = np.array(m.rows, dtype=int).reshape(m.n, k)
-    flips = np.diff(np.pad(a, ((0, 0), (1, 1)), constant_values=1))
     events = []
-    for plane, col in np.argwhere(flips).tolist():
-        t = col * slot
-        t_start = t - pi_width if col == k else max(0.0, t - pi_width / 2)
-        events.append(PulseEvent(t_start, pi_width, math.pi, PHASE_X, plane))
+    for plane, row in enumerate(m.rows):
+        # Sign changes along the row, padded with the +1 start and end frames.
+        padded = (1, *row, 1)
+        for col, (s0, s1) in enumerate(zip(padded, padded[1:])):
+            if s0 == s1:
+                continue
+            t = col * slot
+            t_start = t - pi_width if col == k else max(0.0, t - pi_width / 2)
+            events.append(
+                PulseEvent(t_start, pi_width, math.pi, PHASE_X, plane))
     return Sequence(tuple(events), cycle_time=k * slot,
                     label=f"hadamard-decoupling-k{k}")
 
@@ -232,9 +236,10 @@ def recouple(m: SignMatrix, pair: tuple[int, int]) -> RecoupleResult:
     rows = list(m.rows)
     rows[j] = rows[i]
     out = SignMatrix(tuple(rows))
-    pairs = np.argwhere(np.triu(out.scales, 1)).tolist()
-    degraded = tuple((p, q, float(out.scales[p, q])) for p, q in pairs
-                     if (p, q) != (min(i, j), max(i, j)))
+    scales = out.scales
+    degraded = tuple((p, q, scales[p][q]) for p in range(out.n)
+                     for q in range(p + 1, out.n)
+                     if scales[p][q] and (p, q) != (min(i, j), max(i, j)))
     return RecoupleResult(matrix=out, degraded_pairs=degraded)
 
 

@@ -214,20 +214,24 @@ class TestConfig:
             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
-def _chainqc_modules(code: str) -> set:
-    """The chainqc modules a fresh interpreter holds after running code."""
+def _fresh_modules(code: str) -> tuple[set, bool]:
+    """The chainqc modules a fresh interpreter holds after running code, and
+    whether it has loaded numpy."""
     src = Path(__file__).resolve().parents[1] / "src"
-    report = ("\nimport json, sys\nprint(json.dumps(sorted("
+    report = ("\nimport json, sys\nprint(json.dumps([sorted("
               "m[len('chainqc.'):] for m in sys.modules "
-              "if m.startswith('chainqc.'))))")
+              "if m.startswith('chainqc.')), 'numpy' in sys.modules]))")
     done = subprocess.run([sys.executable, "-c", code + report],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    modules, numpy = json.loads(done.stdout.splitlines()[-1])
+    return set(modules), numpy
 
 
 # Modules every command loads: the CLI, its config and what config needs.
 _STARTUP = {"cli", "config", "constants", "errors", "lattice"}
+# Commands whose models are plain arithmetic: they never load numpy.
+_NUMPY_FREE = {"schedule", "scalability"}
 
 
 # Results that check nothing are NamedTuples, cheap to define at import.
@@ -252,10 +256,10 @@ class TestImports:
     """A command imports only the models it runs (start-up time)."""
 
     def test_config_and_pulses_load_no_other_model(self):
-        assert _chainqc_modules(
+        assert _fresh_modules(
             "import chainqc.cli\n"
-            "chainqc.cli.config.load_config(None)") == _STARTUP
-        assert "spinsys" not in _chainqc_modules("import chainqc.pulses")
+            "chainqc.cli.config.load_config(None)") == (_STARTUP, False)
+        assert "spinsys" not in _fresh_modules("import chainqc.pulses")[0]
 
     @pytest.mark.parametrize("command, models", [
         ("lattice", set()),
@@ -270,7 +274,27 @@ class TestImports:
         code = ("from chainqc import cli\n"
                 f"assert cli.main([{command!r}, '--no-meta', "
                 f"'--out', {str(out)!r}]) == 0")
-        assert _chainqc_modules(code) == _STARTUP | models
+        assert _fresh_modules(code) == (_STARTUP | models,
+                                        command not in _NUMPY_FREE)
+
+    def test_recoupled_schedule_loads_no_numpy(self, tmp_path):
+        code = ("from chainqc import cli\n"
+                "assert cli.main(['schedule', '--recouple', '0,2', "
+                f"'--no-meta', '--out', {str(tmp_path / 'out')!r}]) == 0")
+        assert _fresh_modules(code) == (_STARTUP | {"pulses", "mrfm"}, False)
+
+    def test_version_and_config_error_load_no_numpy(self, tmp_path):
+        code = ("from chainqc import cli\n"
+                "try:\n"
+                "    cli.main(['--version'])\n"
+                "except SystemExit as exc:\n"
+                "    assert exc.code == 0\n")
+        assert _fresh_modules(code) == (_STARTUP, False)
+        cfg = write_cfg(tmp_path, {"schema_version": 1, "nope": 1})
+        code = ("from chainqc import cli\n"
+                f"assert cli.main(['lattice', '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]) == 2")
+        assert _fresh_modules(code) == (_STARTUP, False)
 
     @pytest.mark.parametrize("record, fields", _RECORDS,
                              ids=[r.__name__ for r, _ in _RECORDS])
@@ -405,6 +429,20 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == 3
         assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        import numpy as np
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("eigh did not converge")
+
+        monkeypatch.setattr(spinsys, "propagator", fail)
+        out = tmp_path / "o"
+        assert run(["simulate", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: eigh did not converge" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, body, code", [

@@ -137,14 +137,14 @@ class TestHadamard:
         m = pulses.hadamard_sign_matrix(4)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert m.scales[i, j] == 0.0
+                assert m.scales[i][j] == 0.0
 
     def test_recouple(self):
         m = pulses.hadamard_sign_matrix(3)
         res = pulses.recouple(m, (1, 2))
-        assert res.matrix.scales[1, 2] == 1.0
-        assert res.matrix.scales[0, 1] == 0.0
-        assert res.matrix.scales[0, 2] == 0.0
+        assert res.matrix.scales[1][2] == 1.0
+        assert res.matrix.scales[0][1] == 0.0
+        assert res.matrix.scales[0][2] == 0.0
         assert res.degraded_pairs == ()
 
     def test_sign_matrix_validation(self):
@@ -580,9 +580,9 @@ def sign_matrices(draw):
        width_frac=st.one_of(st.just(0.0), st.floats(0.0, 0.25)),
        pair=st.tuples(st.integers(0, 11), st.integers(0, 11)))
 def test_sign_matrix_reads_match_references(m, slot, width_frac, pair):
-    assert m.scales.tolist() == [
+    assert [list(r) for r in m.scales] == [
         [reference_scale(m, i, j) for j in range(m.n)] for i in range(m.n)]
-    assert all(m.scales[i, i] == 1.0 for i in range(m.n))
+    assert all(m.scales[i][i] == 1.0 for i in range(m.n))
     i, j = pair[0] % m.n, pair[1] % m.n
     if i != j:
         res = pulses.recouple(m, (i, j))
@@ -594,6 +594,41 @@ def test_sign_matrix_reads_match_references(m, slot, width_frac, pair):
            for e in seq.events]
     assert got == reference_decoupling_events(m, slot, width_frac * slot)
     assert all(type(e.t_start) is float for e in seq.events)
+
+
+# The numpy formulas that SignMatrix.scales and decoupling_schedule used
+# before pulses stopped importing numpy, kept as oracles.
+
+def numpy_scales(m):
+    a = np.array(m.rows, dtype=int).reshape(m.n, m.k)
+    return (a @ a.T / m.k).tolist()
+
+
+def numpy_decoupling_events(m, slot, pi_width):
+    a = np.array(m.rows, dtype=int).reshape(m.n, m.k)
+    flips = np.diff(np.pad(a, ((0, 0), (1, 1)), constant_values=1))
+    events = []
+    for plane, col in np.argwhere(flips).tolist():
+        t = col * slot
+        t_start = t - pi_width if col == m.k else max(0.0, t - pi_width / 2)
+        events.append(PulseEvent(t_start, pi_width, math.pi, PHASE_X, plane))
+    return Sequence(tuple(events), cycle_time=m.k * slot).events
+
+
+def test_sign_matrix_reads_match_numpy_formulas():
+    # every size up to the 64-plane config cap, one recoupled pair and one
+    # pulse width per size (the hypothesis test above draws widths freely)
+    slot = 6e-6
+    for n in range(1, 65):
+        m = pulses.hadamard_sign_matrix(n)
+        i, j = ((0, n - 1), (n - 1, n // 3), (n // 2, 0))[n % 3]
+        recoupled = [pulses.recouple(m, (i, j)).matrix] if i != j else []
+        width = (0.0, slot / 7, slot / 4)[n % 3]
+        for mat in [m, *recoupled]:
+            assert [list(r) for r in mat.scales] == numpy_scales(mat)
+            got = pulses.decoupling_schedule(mat, slot, width).events
+            assert got == numpy_decoupling_events(mat, slot, width)
+            assert all(type(e.target) is int for e in got)
 
 
 @settings(max_examples=20, deadline=None)
@@ -609,5 +644,5 @@ def test_recouple_checks_every_pair(n):
                     pulses.recouple(m, (i, j))
             else:
                 res = pulses.recouple(m, (i, j))
-                assert res.matrix.scales[i, j] == 1.0
+                assert res.matrix.scales[i][j] == 1.0
                 assert res.degraded_pairs == ()
