@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -147,11 +146,14 @@ class SignMatrix:
     @functools.cached_property
     def scales(self) -> tuple[tuple[float, ...], ...]:
         """n rows of the Gram matrix row_i . row_j / k: the fraction of the
-        zz coupling between planes i and j surviving the schedule.  The dot
-        product is an exact integer, so each entry is one correctly rounded
-        division."""
-        return tuple(tuple(sum(map(operator.mul, ri, rj)) / self.k
-                           for rj in self.rows) for ri in self.rows)
+        zz coupling between planes i and j surviving the schedule.  With m_i
+        the bit mask of row i's -1 entries, row_i . row_j is the exact
+        integer k - 2 popcount(m_i ^ m_j), so each entry is one correctly
+        rounded division, the bits of numpy's a @ a.T / k."""
+        masks = [sum(1 << c for c, s in enumerate(row) if s < 0)
+                 for row in self.rows]
+        return tuple(tuple((self.k - 2 * (mi ^ mj).bit_count()) / self.k
+                           for mj in masks) for mi in masks)
 
 
 class RecoupleResult(NamedTuple):
