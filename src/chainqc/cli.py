@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys as _sys
 from pathlib import Path
 
 from . import __version__, config
 from .constants import TWO_PI
-from .errors import ConfigError, ConvergenceError, SequenceValidationError
+from .errors import (ConfigError, ConvergenceError, SequenceValidationError,
+                     canonical_json)
 
 __all__ = ["main"]
 
@@ -58,7 +58,7 @@ class _Emitter:
         if self.meta:
             obj = dict(obj, _meta=self._meta_line())
         try:
-            text = _dumps(obj)
+            text = canonical_json(obj)
         except ValueError:
             raise ConvergenceError(
                 f"{name}.json would hold a non-finite number") from None
@@ -94,11 +94,6 @@ def _cell(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False) + "\n"
 
 
 # --- commands ---------------------------------------------------------------
@@ -289,12 +284,17 @@ def cmd_scalability(cfg: config.RunConfig, em: _Emitter, args):
     p = cfg.scalability()
     t2_grid = s["T2_grid_s"]
     n_grid = s["n_grid"]
+    tags = [_t2_tag(t2) for t2 in t2_grid]
+    for i, tag in enumerate(tags):
+        if (j := tags.index(tag)) < i:
+            raise ConfigError(
+                f"scalability.T2_grid_s: {t2_grid[j]!r} and {t2_grid[i]!r} "
+                f"both name column budgetL_T2_{tag}")
     rows = [[n, mrfm.required_field_over_temp(n, p),
              *(mrfm.budget_times_l(t2, p.delta_omega, n) for t2 in t2_grid)]
             for n in n_grid]
     cols = ["n", "B_over_T_required_T_per_K"]
-    for t2 in t2_grid:
-        cols.append(f"budgetL_T2_{_t2_tag(t2)}")
+    cols += [f"budgetL_T2_{tag}" for tag in tags]
     em.table("scalability_curve", cols, rows)
     budget = mrfm.gate_budget(p)
     em.document("scalability_summary", {

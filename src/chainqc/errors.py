@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the JSON number rules
-that both loaders use."""
+"""Exception types shared across the package, the JSON number rules that
+both loaders use, and the canonical JSON writer."""
 
+import json
 import math
 import sys
 
@@ -40,3 +41,10 @@ def is_number(x) -> bool:
     """A finite float or an integer within float range (true is neither)."""
     return (isinstance(x, (int, float)) and not isinstance(x, bool)
             and abs(x) <= sys.float_info.max)
+
+
+def canonical_json(obj) -> str:
+    """Canonical JSON text: sorted keys, minimal separators, a trailing
+    newline; a non-finite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False) + "\n"

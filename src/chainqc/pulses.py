@@ -15,8 +15,8 @@ from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .constants import TWO_PI
-from .errors import (ConfigError, SequenceValidationError, finite_json_number,
-                     is_number)
+from .errors import (ConfigError, SequenceValidationError, canonical_json,
+                     finite_json_number, is_number)
 
 if TYPE_CHECKING:
     from .spinsys import SpinSystem
@@ -385,14 +385,14 @@ SCHEDULE_SCHEMA_VERSION = 1
 
 
 def sequence_to_json(seq: Sequence) -> str:
-    """Canonical JSON text (sorted keys, minimal separators, trailing newline)."""
+    """The schedule as canonical JSON text (errors.canonical_json)."""
     obj = {
         "schema_version": SCHEDULE_SCHEMA_VERSION,
         "label": seq.label,
         "cycle_time": seq.cycle_time,
         "events": [asdict(e) for e in seq.events],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(obj)
 
 
 def _json_number(x) -> float:

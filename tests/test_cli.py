@@ -349,6 +349,16 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_colliding_t2_columns_exit_2(self, tmp_path, capsys):
+        # :g keeps six digits, so 0.1000001 would also head budgetL_T2_0p1s
+        cfg = write_cfg(tmp_path, _v1(scalability={
+            "T2_grid_s": [0.1, 0.1000001, 0.1]}))
+        out = tmp_path / "o"
+        assert run(["scalability", "--config", cfg, "--out", str(out)]) == 2
+        assert ("scalability.T2_grid_s: 0.1 and 0.1000001 both name column "
+                "budgetL_T2_0p1s") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wide_pi_pulse_exits_3(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,
