@@ -245,12 +245,11 @@ class RunConfig(NamedTuple):
         from .mrfm import CAIParams
 
         s = self.raw["readout"]
-        omega_m = s["omega_m_rad_per_s"]
         return CAIParams(
             b1=s["b1_T"],
-            omega_m=omega_m,
+            omega_m=s["omega_m_rad_per_s"],
             excursion=s["excursion_rad_per_s"],
-            duration=s["n_periods"] * TWO_PI / omega_m,
+            n_periods=s["n_periods"],
             gamma=self.lattice().gamma,
         )
 

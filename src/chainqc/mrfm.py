@@ -102,15 +102,22 @@ class CAIParams:
     b1: float                # T
     omega_m: float           # rad/s, modulation frequency
     excursion: float         # rad/s, peak detuning Omega
-    duration: float          # s, must be an integer number of periods
+    n_periods: int           # whole modulation periods in the trace
     gamma: float             # rad/s/T
 
     def __post_init__(self):
         if not self.b1 >= 0:
             raise ConfigError("b1 must be non-negative")
-        for name in ("omega_m", "excursion", "duration", "gamma"):
+        for name in ("omega_m", "excursion", "gamma"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if not (isinstance(self.n_periods, int) and self.n_periods >= 1):
+            raise ConfigError("n_periods must be an integer of at least 1")
+
+    @property
+    def duration(self) -> float:
+        """Length of the trace (s)."""
+        return self.n_periods * TWO_PI / self.omega_m
 
     @property
     def omega_1(self) -> float:
@@ -301,16 +308,12 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     Om = params.excursion
     w_eff_max = math.hypot(w1, Om)
     dt = min(period / steps_per_period, 0.1 / w_eff_max)
-    # Checked first: a tiny omega_m makes the step count, and with it the
-    # three trace arrays, unbounded, or the period count inf/inf = NaN.
+    # A tiny omega_m makes the step count, and with it the three trace
+    # arrays, unbounded.
     if not params.duration / dt <= MAX_CAI_STEPS:
         raise ConfigError(
             f"CAI readout needs {params.duration / dt:.3g} steps, more than "
             f"the limit of {MAX_CAI_STEPS}")
-    n_periods = params.duration / period
-    if abs(n_periods - round(n_periods)) > 1e-9 or round(n_periods) < 1:
-        raise ConfigError(
-            "duration must be a positive integer number of modulation periods")
     n_steps = int(math.ceil(params.duration / dt))
     dt = params.duration / n_steps
 

@@ -81,7 +81,11 @@ class PulseEvent:
 
 @dataclass(frozen=True)
 class Sequence:
-    """Time-ordered pulse schedule over one cycle."""
+    """Time-ordered pulse schedule over one cycle.
+
+    No event may overlap an earlier one on its own plane or a broadband
+    pulse, which acts on every plane; selective pulses on different planes
+    may overlap."""
 
     events: tuple[PulseEvent, ...]
     cycle_time: float
@@ -97,8 +101,11 @@ class Sequence:
         for ev in ordered:
             if ev.t_end > self.cycle_time * (1 + 1e-12) + 1e-300:
                 offenders.append(ev)
-            prev = last_end.get(ev.target)
-            if prev is not None and ev.t_start < prev - 1e-15:
+            shared = (last_end if ev.target == "broadband"
+                      else (ev.target, "broadband"))
+            prev = max((last_end[k] for k in shared if k in last_end),
+                       default=0.0)
+            if ev.t_start < prev - 1e-15:
                 offenders.append(ev)
             last_end[ev.target] = max(last_end.get(ev.target, 0.0), ev.t_end)
         if offenders:
@@ -344,11 +351,9 @@ def compile_cnot(sys: SpinSystem, control: int, target: int):
     perm = cnot_permutation(sys, control, target)
     s1 = sys.spin_index(control, 0)
     s2 = sys.spin_index(target, 0)
-    J = None
-    for c in sys.couplings:
-        if {c.i, c.j} == {s1, s2} and c.kind == "zz":
-            J = c.coeff
-            break
+    # adjacent planes, so the pair's coupling is zz
+    J = next((c.coeff for c in sys.couplings if {c.i, c.j} == {s1, s2}),
+             None)
     if J is None or J == 0.0:
         raise ConfigError("no zz coupling between the requested planes")
     t_evol = math.pi / abs(J)

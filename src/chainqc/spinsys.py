@@ -19,8 +19,7 @@ Iz = +1/2); no other module reads that layout.  An operator that maps basis
 states to basis states, as the ideal CNOT does, leaves it as an index array
 (cnot_permutation).  H is written straight from the bit table: a diagonal of
 offsets and zz terms plus the in-plane flip-flop entries.  H conserves each
-plane's Iz (a full_dipolar pair across planes joins the two planes into one
-conserved group), so it is block diagonal over sectors of equal per-plane
+plane's Iz, so it is block diagonal over sectors of equal per-plane
 up-counts; free evolution runs block by block through one cached batched
 eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
@@ -41,7 +40,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +70,6 @@ SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 
-UP = np.array([1.0, 0.0], dtype=complex)
-DOWN = np.array([0.0, 1.0], dtype=complex)
-
 
 def single_spin_op(n_spins: int, index: int, op: np.ndarray) -> np.ndarray:
     """Embed a single-spin operator at position ``index`` in an n-spin space."""
@@ -92,23 +88,25 @@ def _down_bits(n_spins: int) -> np.ndarray:
 class Coupling(NamedTuple):
     i: int              # spin index
     j: int              # spin index
-    kind: str           # 'zz' or 'full_dipolar'
     coeff: float        # rad/s
 
 
-# D of each coupling kind: the coupling is coeff * sum_ab D[a, b] I_i^a I_j^b
-_KIND_TENSOR = {"zz": np.diag([0.0, 0.0, 1.0]),
-                "full_dipolar": np.diag([-0.5, -0.5, 1.0])}
+# D of a coupling, keyed by whether its two spins share a plane: the
+# coupling is coeff * sum_ab D[a, b] I_i^a I_j^b
+_TENSOR = {True: np.diag([-0.5, -0.5, 1.0]),
+           False: np.diag([0.0, 0.0, 1.0])}
 
 
 @dataclass(frozen=True)
 class SpinSystem:
     n_planes: int
-    chain_positions: tuple[tuple[float, float], ...]  # units of a
-    offsets: tuple[float, ...]                        # rad/s, per plane
+    n_chains: int
+    offsets: tuple[float, ...]  # rad/s, per plane
     couplings: tuple[Coupling, ...]
 
     def __post_init__(self):
+        if not (self.n_planes >= 1 and self.n_chains >= 1):
+            raise ConfigError("need at least one plane and one chain")
         n = self.total_spins
         if n > MAX_SPINS:
             raise ConfigError(f"{n} spins exceeds the cap of {MAX_SPINS}")
@@ -121,8 +119,6 @@ class SpinSystem:
             if not (0 <= c.i < n and 0 <= c.j < n):
                 raise ConfigError(f"coupling ({c.i}, {c.j}) names a spin "
                                   f"outside 0..{n - 1}")
-            if c.kind not in _KIND_TENSOR:
-                raise ConfigError(f"unknown coupling kind {c.kind!r}")
             if not math.isfinite(c.coeff):
                 raise ConfigError(f"coupling ({c.i}, {c.j}) has a non-finite "
                                   f"coefficient")
@@ -131,10 +127,6 @@ class SpinSystem:
             if (min(c.i, c.j), max(c.i, c.j)) in seen:
                 raise ConfigError("duplicate pair in coupling table")
             seen.add((min(c.i, c.j), max(c.i, c.j)))
-
-    @property
-    def n_chains(self) -> int:
-        return len(self.chain_positions)
 
     @property
     def total_spins(self) -> int:
@@ -167,29 +159,17 @@ class SpinSystem:
     def _sector_blocks(self) -> list:
         """H block by block, computed once per system.
 
-        Only a full_dipolar coupling moves Iz between spins, and it keeps
-        the pair's sum; so H conserves the total Iz of each group of planes
-        that such couplings join (each plane alone, for ``build_system``).
-        H has no entry between basis states that differ in any group's
-        up-count; those counts label the sectors.  Sectors of equal size b
-        are stacked: one (rows, w, V) per size, rows the (n_b, b) basis
-        indices in ascending order and H[rows_i][:, rows_i] =
-        V_i diag(w_i) V_i^T from one batched eigh.  For b = 1 the sector's
-        H entry is its eigenvalue and V is None.
+        Only a same-plane coupling moves Iz between spins, and it keeps the
+        pair's sum; so H conserves each plane's Iz and has no entry between
+        basis states that differ in any plane's up-count.  Those counts,
+        read as one integer in base n_chains + 1, label the sectors.
+        Sectors of equal size b are stacked: one (rows, w, V) per size, rows
+        the (n_b, b) basis indices in ascending order and
+        H[rows_i][:, rows_i] = V_i diag(w_i) V_i^T from one batched eigh.
+        For b = 1 the sector's H entry is its eigenvalue and V is None.
         """
-        group = list(range(self.n_planes))
-        for c in self.couplings:
-            if c.kind == "full_dipolar":
-                lo, hi = sorted((group[c.i // self.n_chains],
-                                 group[c.j // self.n_chains]))
-                group = [lo if g == hi else g for g in group]
-        up = self._plane_iz + 0.5 * self.n_chains
-        key = np.zeros(self.dim, dtype=np.int64)
-        radix = 1
-        for g in sorted(set(group)):
-            planes = [p for p in range(self.n_planes) if group[p] == g]
-            key += radix * up[:, planes].sum(axis=1).astype(np.int64)
-            radix *= self.n_chains * len(planes) + 1
+        up = (self._plane_iz + 0.5 * self.n_chains).astype(np.int64)
+        key = up @ (self.n_chains + 1) ** np.arange(self.n_planes)
         # not np.unique: it imports numpy.ma, a cost paid on every CLI call
         order = np.argsort(key, kind="stable")
         sizes = np.bincount(key)
@@ -206,16 +186,22 @@ class SpinSystem:
                 blocks.append((rows, *np.linalg.eigh(Hb)))
         return blocks
 
+    def _coupling_planes(self) -> list[tuple[int, int]]:
+        """(plane of i, plane of j) of each coupling."""
+        return [(c.i // self.n_chains, c.j // self.n_chains)
+                for c in self.couplings]
+
     def _terms(self):
         """H as _bit_operator's fields (offsets along z) and tensors."""
         fields = np.outer(self.offsets, [0.0, 0.0, 1.0])
-        return fields, [c.coeff * _KIND_TENSOR[c.kind] for c in self.couplings]
+        return fields, [c.coeff * _TENSOR[p == q] for c, (p, q)
+                        in zip(self.couplings, self._coupling_planes())]
 
     def hamiltonian(self) -> np.ndarray:
         """Internal Hamiltonian (rad/s) in the plane-0 rotating frame,
         written by _bit_operator from _terms(): real symmetric, offsets and
         c Iz_i Iz_j on the diagonal, and -c/4 between the basis states that
-        swap the unequal bits of a full_dipolar pair (its flip-flop).
+        swap the unequal bits of a same-plane pair (its flip-flop).
         """
         return _bit_operator(self, *self._terms())
 
@@ -244,7 +230,7 @@ def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
         for a, b, v in ((i, j, M[2, :2]), (j, i, M[:2, 2])):  # Iz_a v.I_b
             if v.any():
                 flips.append((bit[b], sz[:, a] * xy(b, *v)))
-        if M[:2, :2].any():  # H: full_dipolar flip-flops only
+        if M[:2, :2].any():  # H: same-plane flip-flops only
             flips.append((bit[i] | bit[j],
                           xy(i, xy(j, *M[0, :2]), xy(j, *M[1, :2]))))
     real = not any(np.any(e.imag) for _, e in flips)
@@ -291,20 +277,21 @@ class QuantumState:
         return cls("density", rho)
 
     @classmethod
-    def product(cls, single_states: Iterable[np.ndarray]) -> "QuantumState":
-        vec = np.array([1.0 + 0.0j])
-        for s in single_states:
-            vec = np.kron(vec, np.asarray(s, dtype=complex))
-        return cls.pure(vec / np.linalg.norm(vec))
-
-    @classmethod
     def all_up(cls, n_spins: int) -> "QuantumState":
-        return cls.product([UP] * n_spins)
+        """Basis state 0: every spin up."""
+        vec = np.zeros(2 ** n_spins, dtype=complex)
+        vec[0] = 1.0
+        return cls.pure(vec)
 
     @classmethod
     def all_plus_x(cls, n_spins: int) -> "QuantumState":
-        plus = (UP + DOWN) / math.sqrt(2.0)
-        return cls.product([plus] * n_spins)
+        """Every spin along +x: the uniform vector, each amplitude the
+        product of n single-spin amplitudes 1/sqrt(2)."""
+        amp = 1.0 + 0.0j
+        for _ in range(n_spins):
+            amp *= 1.0 / math.sqrt(2.0)
+        vec = np.full(2 ** n_spins, amp)
+        return cls.pure(vec / np.linalg.norm(vec))
 
     def apply(self, U: np.ndarray) -> "QuantumState":
         out = self._stepped(functools.partial(np.matmul, U))
@@ -350,16 +337,13 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
 
     Offsets are omega_p = p * gamma*a*|grad| relative to plane 0.  Every
     pairwise coefficient is lattice.dipolar_coupling of the full 3D
-    separation vector; same-plane pairs keep the full dipolar form
-    (optionally dropped via ``include_same_plane`` to isolate cross-chain zz
-    effects).
+    separation vector; same-plane pairs, full dipolar, can be dropped via
+    ``include_same_plane`` to isolate cross-chain zz effects.
     """
     positions = [tuple(float(c) for c in p) for p in chain_positions]
     if len(set(positions)) != len(positions):
         raise ConfigError("duplicate chain positions")
     n_chains = len(positions)
-    if n_planes < 1 or n_chains < 1:
-        raise ConfigError("need at least one plane and one chain")
     if n_planes * n_chains > MAX_SPINS:  # fail before the O(n^2) pair loop
         raise ConfigError(
             f"{n_planes * n_chains} spins exceeds the cap of {MAX_SPINS}")
@@ -376,14 +360,11 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
             raise ConfigError(
                 f"spins {s1} and {s2} are too close "
                 f"(r = {math.hypot(dx, dy, dz):.3e} m) for a finite coupling")
-        if p1 == p2:
-            if include_same_plane:
-                couplings.append(Coupling(s1, s2, "full_dipolar", coeff))
-        else:
-            couplings.append(Coupling(s1, s2, "zz", coeff))
+        if p1 != p2 or include_same_plane:
+            couplings.append(Coupling(s1, s2, coeff))
     return SpinSystem(
         n_planes=n_planes,
-        chain_positions=tuple(positions),
+        n_chains=n_chains,
         offsets=offsets,
         couplings=tuple(couplings),
     )
@@ -616,7 +597,7 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
     An ideal pulse rotates all spins of a plane alike, so U_w^dag I^a U_w =
     sum_b R_p(w)[a, b] I^b, and Hbar is written like H, by _bit_operator,
     from plane fields w_p sum_w (tau_w/T) R_p^T e_z and, for a coupling
-    c D between planes p and q, c G[p, q] with
+    c D between planes p and q (D by p == q, as in H), c G[p, q] with
     G[p, q] = sum_w (tau_w/T) R_p^T D R_q: one contraction over windows.
     """
     T = seq.cycle_time
@@ -638,8 +619,8 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
             R[planes] = adj @ R[planes]
     tau, R = map(np.array, zip(*windows))  # R: (window, plane, 3, 3)
     fields = np.einsum("w,p,wpb->pb", tau, sys.offsets, R[:, :, 2])
-    G = {kind: np.einsum("w,wpai,ab,wqbj->pqij", tau, R, D, R, optimize=True)
-         for kind, D in _KIND_TENSOR.items()}
-    nc = sys.n_chains
+    G = {same: np.einsum("w,wpai,ab,wqbj->pqij", tau, R, D, R, optimize=True)
+         for same, D in _TENSOR.items()}
     return _bit_operator(sys, fields, [
-        c.coeff * G[c.kind][c.i // nc, c.j // nc] for c in sys.couplings])
+        c.coeff * G[p == q][p, q]
+        for c, (p, q) in zip(sys.couplings, sys._coupling_planes())])

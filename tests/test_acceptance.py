@@ -149,12 +149,11 @@ def test_criterion_7_decoupling_correctness():
             worst = max(worst, 1.0 - fid)
     dec_ok = worst < 1e-9
 
-    dip = SpinSystem(2, ((0.0, 0.0),), (0.0, 0.0),
-                     (Coupling(0, 1, "full_dipolar", 1e4),))
+    dip = SpinSystem(1, 2, (0.0,), (Coupling(0, 1, 1e4),))
     Hbar = spinsys.average_hamiltonian_0(dip, pulses.wahuha(1e-6))
     dip_resid = float(np.max(np.abs(Hbar))) / 1e4
     w = 1e5
-    off = SpinSystem(2, ((0.0, 0.0),), (0.0, w), ())
+    off = SpinSystem(2, 1, (0.0, w), ())
     Hbar_w = spinsys.average_hamiltonian_0(off, pulses.wahuha(1e-6))
     G = sum(single_spin_op(2, 1, op) for op in (SX, SY, SZ)) / math.sqrt(3.0)
     scale = float(np.real(np.trace(Hbar_w @ G) / np.trace(G @ G))) / w
@@ -223,7 +222,7 @@ def test_criterion_10_cai_readout():
     omega_m = w1 / 20.0
     params = CAIParams(b1=w1 / (TWO_PI * 40e6), omega_m=omega_m,
                        excursion=2.0 * w1,
-                       duration=8 * TWO_PI / omega_m, gamma=TWO_PI * 40e6)
+                       n_periods=8, gamma=TWO_PI * 40e6)
     assert params.adiabaticity == pytest.approx(10.0)
     res = mrfm.simulate_cai_readout(params)
     spec = np.abs(np.fft.rfft(res.iz))

@@ -50,7 +50,7 @@ def dense_hamiltonian(sys):
             H += sys.offsets[p] * embed(n, {s: SZ})
     for c in sys.couplings:
         zz = embed(n, {c.i: SZ, c.j: SZ})
-        if c.kind == "zz":
+        if c.i // sys.n_chains != c.j // sys.n_chains:  # across planes
             H += c.coeff * zz
         else:
             xx = embed(n, {c.i: SX, c.j: SX})
@@ -187,21 +187,20 @@ def registers(min_planes=1):
 
 @st.composite
 def hand_built_registers(draw):
-    """Any coupling table: each pair is zz, full_dipolar or uncoupled.
+    """Any coupling table: each pair coupled, with any coefficient, or not.
 
-    Unlike ``build_system``, a full_dipolar pair may join two planes.
+    Unlike ``build_system``, offsets and coefficients need no geometry, and
+    any subset of the pairs may be coupled.
     """
     n_chains = draw(st.integers(1, 2))
     n_planes = draw(st.integers(1, 4))
     offsets = tuple(draw(st.floats(-1e6, 1e6)) for _ in range(n_planes))
     couplings = []
     for i, j in itertools.combinations(range(n_planes * n_chains), 2):
-        kind = draw(st.sampled_from([None, "zz", "full_dipolar"]))
-        if kind:
+        if draw(st.booleans()):
             couplings.append(
-                spinsys.Coupling(i, j, kind, draw(st.floats(-1e5, 1e5))))
-    return spinsys.SpinSystem(n_planes, ((0.0, 0.0),) * n_chains, offsets,
-                              tuple(couplings))
+                spinsys.Coupling(i, j, draw(st.floats(-1e5, 1e5))))
+    return spinsys.SpinSystem(n_planes, n_chains, offsets, tuple(couplings))
 
 
 @st.composite
@@ -387,7 +386,7 @@ def test_average_hamiltonian_matches_dense_toggling_frame(case):
 @SETTINGS
 @given(hand_built_registers(), st.data())
 def test_any_coupling_table_average_hamiltonian_matches_dense(sys, data):
-    # a full_dipolar pair across planes couples two different plane frames
+    # couplings between any planes, each pair seen from two plane frames
     seq = data.draw(schedules(sys.n_planes))
     dense = dense_average_hamiltonian(sys, seq)
     # Under ~1e-290 rad/s the oracle's tau * H nears float64's subnormals
@@ -458,16 +457,16 @@ def test_chain_order_leaves_simulate_fidelities_unchanged(layout, data):
 
 @st.composite
 def chain_tables(draw):
-    """One chain's plane offsets and couplings, with a zz coupling of at
-    least 1e3 rad/s between planes 0 and 1 for the CNOT."""
+    """One chain's plane offsets and (p, q, coeff) zz couplings, each pair
+    coupled or not, with at least 1e3 rad/s between planes 0 and 1 for the
+    CNOT."""
     n_planes = draw(st.integers(2, 4))
     offsets = tuple(draw(st.floats(-1e6, 1e6)) for _ in range(n_planes))
     j01 = draw(st.floats(1e3, 1e5)) * draw(st.sampled_from([-1.0, 1.0]))
-    table = [(0, 1, "zz", j01)]
+    table = [(0, 1, j01)]
     for p, q in itertools.combinations(range(n_planes), 2):
-        kind = draw(st.sampled_from([None, "zz", "full_dipolar"]))
-        if kind and (p, q) != (0, 1):
-            table.append((p, q, kind, draw(st.floats(-1e5, 1e5))))
+        if draw(st.booleans()) and (p, q) != (0, 1):
+            table.append((p, q, draw(st.floats(-1e5, 1e5))))
     return offsets, table
 
 
@@ -485,15 +484,15 @@ def test_uncoupled_chains_factorize_the_cnot_fidelity(table, data):
 
     def cnot_fidelity(n):
         sys = spinsys.SpinSystem(
-            n_planes, ((0.0, 0.0),) * n, offsets,
-            tuple(spinsys.Coupling(p * n + c, q * n + c, kind, coeff)
-                  for p, q, kind, coeff in couplings for c in range(n)))
+            n_planes, n, offsets,
+            tuple(spinsys.Coupling(p * n + c, q * n + c, coeff)
+                  for p, q, coeff in couplings for c in range(n)))
         seq, perm = pulses.compile_cnot(sys, 0, 1)
         fid = spinsys.gate_fidelity(spinsys.propagator(sys, seq), perm)
         return fid, seq.cycle_time
 
     one, t_gate = cnot_fidelity(1)
     phase = n_chains * t_gate * (sum(map(abs, offsets))
-                                 + sum(abs(c[3]) for c in couplings))
+                                 + sum(abs(c[2]) for c in couplings))
     assert abs(cnot_fidelity(n_chains)[0] - one ** n_chains) \
         <= np.finfo(float).eps * phase

@@ -227,7 +227,7 @@ def cai_params(adiabaticity=10.0, ratio=2.0, w1=TWO_PI * 10e3, periods=6):
         b1=w1 / (TWO_PI * 40e6),
         omega_m=omega_m,
         excursion=ratio * w1,
-        duration=periods * TWO_PI / omega_m,
+        n_periods=periods,
         gamma=TWO_PI * 40e6,
     )
 
@@ -367,10 +367,9 @@ class TestCAI:
         assert np.max(np.abs(res.detuning - wave)) <= 1e-12 * p.excursion
 
     def test_duration_must_be_integer_periods(self):
-        p = cai_params()
-        bad = replace(p, duration=p.duration * 1.1)
-        with pytest.raises(ConfigError):
-            mrfm.simulate_cai_readout(bad)
+        for n_periods in (0, 1.5):
+            with pytest.raises(ConfigError, match="n_periods"):
+                cai_params(periods=n_periods)
 
     def test_following_undefined_without_prediction(self):
         # an excursion far below omega_1 keeps the prediction under 0.1

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -44,6 +45,22 @@ class TestSequenceValidation:
         e1 = PulseEvent(0.0, 2e-6, math.pi, PHASE_X, 0)
         e2 = PulseEvent(1e-6, 2e-6, math.pi, PHASE_X, 1)
         Sequence((e1, e2), cycle_time=5e-6)
+
+    @pytest.mark.parametrize("first, second", [
+        (("broadband", 1.0e-6), (0, 1.1e-6)),
+        ((0, 1.0e-6), ("broadband", 1.1e-6))])
+    def test_overlap_with_broadband_rejected(self, first, second):
+        # a broadband pulse acts on every plane, so it overlaps a selective
+        # pulse on any of them
+        events = [PulseEvent(t, 0.2e-6, math.pi, PHASE_X, target)
+                  for target, t in (first, second)]
+        with pytest.raises(SequenceValidationError) as exc:
+            Sequence(tuple(events), cycle_time=2e-6)
+        assert exc.value.offenders == [events[1]]
+        text = json.dumps({"schema_version": 1, "cycle_time": 2e-6,
+                           "events": [asdict(e) for e in events]})
+        with pytest.raises(SequenceValidationError):
+            pulses.sequence_from_json(text)
 
     def test_past_cycle_time_rejected(self):
         e = PulseEvent(4e-6, 2e-6, math.pi, PHASE_X, 0)
@@ -252,8 +269,10 @@ class TestInterleave:
 class TestCompileCnot:
     @staticmethod
     def _basis_state(bits):
-        vecs = [spinsys.UP if b == 0 else spinsys.DOWN for b in bits]
-        return QuantumState.product(vecs)
+        """Spin s down where bits[s] is 1; spin 0 is the leading bit."""
+        vec = np.zeros(2 ** len(bits))
+        vec[int("".join(map(str, bits)), 2)] = 1.0
+        return QuantumState.pure(vec)
 
     def test_truth_table(self):
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
@@ -288,7 +307,7 @@ class TestCompileCnot:
         pair = {full.spin_index(1, 0), full.spin_index(2, 0)}
         sys = SpinSystem(
             n_planes=3,
-            chain_positions=full.chain_positions,
+            n_chains=1,
             offsets=full.offsets,
             couplings=tuple(c for c in full.couplings
                             if {c.i, c.j} == pair),
@@ -423,14 +442,17 @@ PROPS = settings(max_examples=60, deadline=None)
 
 @st.composite
 def sequences(draw):
-    """Valid schedules: per-target chains of zero- or finite-width pulses
-    inside one cycle, the targets mixed."""
+    """Valid schedules: zero- or finite-width pulses inside one cycle, the
+    targets mixed.  A plane's pulse starts after its plane's last pulse and
+    the last broadband pulse ends; a broadband pulse, after every pulse."""
     cycle = draw(st.floats(1e-7, 1e-3))
     events = []
     cursor = {}
     for _ in range(draw(st.integers(0, 12))):
         target = draw(st.one_of(st.just("broadband"), st.integers(0, 3)))
-        start = cursor.get(target, 0.0) + draw(st.floats(0.0, 0.2)) * cycle
+        waits = cursor if target == "broadband" else (target, "broadband")
+        start = (max([0.0] + [cursor.get(k, 0.0) for k in waits])
+                 + draw(st.floats(0.0, 0.2)) * cycle)
         width = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2))) * cycle
         if start + width > cycle:
             break
