@@ -250,8 +250,8 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
     if ss["schedule"] == "decoupling":
         m = pulses.hadamard_sign_matrix(ss["n_planes"])
         seq = pulses.decoupling_schedule(m, seq_cfg["slot_s"])
-        U = spinsys.propagator(sys, seq, mode="ideal")
-        fid, phases = spinsys.diagonal_z_fidelity(U.matrix)
+        fid, phases = spinsys.diagonal_z_fidelity(
+            spinsys.pi_cycle_diagonal(sys, seq))
         summary["identity_fidelity"] = fid
         summary["identity_infidelity"] = 1.0 - fid
         summary["z_phases_rad"] = [float(p) for p in phases]

@@ -340,7 +340,10 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         nv = _by_element(partial(math.hypot, vx), vz)
         th = 0.5 * nv * dt
         c, s = _by_element(math.cos, th), _by_element(math.sin, th)
-        ux, uz = vx / nv, vz / nv
+        # a zero field (w1 and delta underflowed to 0) is the identity step
+        moving = nv != 0.0
+        ux = np.divide(vx, nv, out=np.zeros_like(nv), where=moving)
+        uz = np.divide(vz, nv, out=np.zeros_like(nv), where=moving)
         # U = c*I - i*s*(ux*sigma_x + uz*sigma_z)
         a = c - 1j * s * uz
         b = -1j * s * ux
@@ -352,7 +355,9 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         iz[k0:k1] = 0.5 * (_abs_squared(ps) - _abs_squared(qs))
         d = det[k0:k1] = Om * _by_element(math.cos,
                                           params.omega_m * ((k + 1) * dt))
-        pred = 0.5 * np.abs(d) / np.hypot(d, w1)
+        field = np.hypot(d, w1)
+        pred = np.divide(0.5 * np.abs(d), field, out=np.zeros_like(field),
+                         where=field != 0.0)
         mask = pred > 0.1
         if mask.any():
             figures.append(

@@ -99,13 +99,12 @@ class Sequence:
         offenders = []
         last_end: dict[Target, float] = {}
         for ev in ordered:
-            if ev.t_end > self.cycle_time * (1 + 1e-12) + 1e-300:
-                offenders.append(ev)
             shared = (last_end if ev.target == "broadband"
                       else (ev.target, "broadband"))
             prev = max((last_end[k] for k in shared if k in last_end),
                        default=0.0)
-            if ev.t_start < prev - 1e-15:
+            if (ev.t_end > self.cycle_time * (1 + 1e-12) + 1e-300
+                    or ev.t_start < prev - 1e-15):
                 offenders.append(ev)
             last_end[ev.target] = max(last_end.get(ev.target, 0.0), ev.t_end)
         if offenders:

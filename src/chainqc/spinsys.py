@@ -20,10 +20,15 @@ states to basis states, as the ideal CNOT does, leaves it as an index array
 (cnot_permutation).  H is written straight from the bit table: a diagonal of
 offsets and zz terms plus the in-plane flip-flop entries.  H conserves each
 plane's Iz, so it is block diagonal over sectors of equal per-plane
-up-counts; free evolution runs block by block through one cached batched
+up-counts; its blocks are written from the same terms with no dense H, and
+free evolution runs block by block through one cached batched
 eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
 reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
+A propagator applies the pulses of one instant as one step, one 2x2 product
+per touched spin.  An ideal pi pulse maps each basis state to one basis
+state, so a cycle of them maps each sector onto one sector, and its
+diagonal (pi_cycle_diagonal) is carried block by block with no d x d array.
 A sampled (finite-width) pulse writes its drive from the same bit table;
 the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
 differ only by diagonal phases that advance by the same D each step, so the
@@ -56,6 +61,7 @@ __all__ = [
     "build_system",
     "evolve",
     "propagator",
+    "pi_cycle_diagonal",
     "expectation_iz_plane",
     "cnot_permutation",
     "gate_fidelity",
@@ -155,18 +161,19 @@ class SpinSystem:
         return self._iz_table.reshape(
             self.dim, self.n_planes, self.n_chains).sum(axis=2)
 
-    @functools.cached_property
-    def _sector_blocks(self) -> list:
-        """H block by block, computed once per system.
+    def _sector_hamiltonians(self) -> list:
+        """H block by block, written from the bit table with no dense H.
 
         Only a same-plane coupling moves Iz between spins, and it keeps the
         pair's sum; so H conserves each plane's Iz and has no entry between
         basis states that differ in any plane's up-count.  Those counts,
         read as one integer in base n_chains + 1, label the sectors.
-        Sectors of equal size b are stacked: one (rows, w, V) per size, rows
+        Sectors of equal size b are stacked: one (rows, Hb) per size, rows
         the (n_b, b) basis indices in ascending order and
-        H[rows_i][:, rows_i] = V_i diag(w_i) V_i^T from one batched eigh.
-        For b = 1 the sector's H entry is its eigenvalue and V is None.
+        Hb[i] = H[rows[i]][:, rows[i]].  Hb takes H's diagonal and each
+        flip whose image stays in its sector; a same-plane flip-flop's
+        entry is exactly zero where its image would leave.  Each entry is
+        added to a zero as _bit_operator adds it, so Hb has H's bits.
         """
         up = (self._plane_iz + 0.5 * self.n_chains).astype(np.int64)
         key = up @ (self.n_chains + 1) ** np.arange(self.n_planes)
@@ -175,16 +182,30 @@ class SpinSystem:
         sizes = np.bincount(key)
         sizes = sizes[sizes > 0]  # in key order, as argsort groups them
         starts = np.cumsum(sizes) - sizes
-        H = self.hamiltonian()
-        blocks = []
+        pos = np.empty(self.dim, dtype=np.int64)  # place within its sector
+        pos[order] = np.arange(self.dim) - np.repeat(starts, sizes)
+        diag, flips = _bit_terms(self, *self._terms())
+        out = []
         for b in sorted(set(sizes.tolist())):
             rows = order[starts[sizes == b][:, None] + np.arange(b)]
-            Hb = H[rows[:, :, None], rows[:, None, :]]
-            if b == 1:
-                blocks.append((rows, Hb[:, :, 0], None))
-            else:
-                blocks.append((rows, *np.linalg.eigh(Hb)))
-        return blocks
+            Hb = np.zeros((len(rows), b, b))
+            Hb[:, np.arange(b), np.arange(b)] += diag[rows]
+            for m, e in flips:  # H's entries are real
+                image = rows ^ m
+                blk, col = np.nonzero(key[image] == key[rows])
+                Hb[blk, pos[image[blk, col]], col] += e.real[rows[blk, col]]
+            out.append((rows, Hb))
+        return out
+
+    @functools.cached_property
+    def _sector_blocks(self) -> list:
+        """H's sector blocks diagonalised, computed once per system: one
+        (rows, w, V) per sector size, Hb = V diag(w) V^T from one batched
+        eigh.  For b = 1 the sector's H entry is its eigenvalue and V is
+        None."""
+        return [(rows, Hb[:, :, 0], None) if Hb.shape[1] == 1
+                else (rows, *np.linalg.eigh(Hb))
+                for rows, Hb in self._sector_hamiltonians()]
 
     def _coupling_planes(self) -> list[tuple[int, int]]:
         """(plane of i, plane of j) of each coupling."""
@@ -206,21 +227,22 @@ class SpinSystem:
         return _bit_operator(self, *self._terms())
 
 
-def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
-    """sum_p v_p . F_p + sum_c I_i^T M_c I_j, written from the bit table.
+def _bit_terms(sys: SpinSystem, fields, tensors):
+    """sum_p v_p . F_p + sum_c I_i^T M_c I_j as (diag, flips) from the bit
+    table: the diagonal, and one (flipped bits, entries by column) per
+    off-diagonal term, entry [k] at row k ^ bits and column k.
 
     fields[p] = v_p acts on plane p's total spin F_p, tensors[c] = M_c on
     the pair of sys.couplings[c].  Iz is the diagonal sz; Ix and Iy flip the
-    spin, <k ^ bit|Ix|k> = 1/2 and <k ^ bit|Iy|k> = i sz[k].  Real when
-    every entry is, as for H.
+    spin, <k ^ bit|Ix|k> = 1/2 and <k ^ bit|Iy|k> = i sz[k].
     """
-    sz, k = sys._iz_table, np.arange(sys.dim)
+    sz = sys._iz_table
     bit = 1 << np.arange(sys.total_spins)[::-1]
 
     def xy(s, vx, vy):  # vx Ix + vy Iy on spin s, by column
         return 0.5 * vx + 1j * vy * sz[:, s]
     diag = np.zeros(sys.dim)
-    flips = [(0, diag)]  # (flipped bits, entries by column); 0 flips none
+    flips = []
     for p, v in enumerate(fields):
         diag += v[2] * sys._plane_iz[:, p]
         if v[:2].any():
@@ -233,9 +255,17 @@ def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
         if M[:2, :2].any():  # H: same-plane flip-flops only
             flips.append((bit[i] | bit[j],
                           xy(i, xy(j, *M[0, :2]), xy(j, *M[1, :2]))))
+    return diag, flips
+
+
+def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
+    """_bit_terms scattered into a dense d x d array: real when every entry
+    is, as for H."""
+    diag, flips = _bit_terms(sys, fields, tensors)
+    k = np.arange(sys.dim)
     real = not any(np.any(e.imag) for _, e in flips)
     H = np.zeros((sys.dim, sys.dim), dtype=float if real else complex)
-    for m, e in flips:
+    for m, e in [(0, diag), *flips]:
         H[k ^ m, k] += e.real if real else e
     return H
 
@@ -376,21 +406,31 @@ def _expm_real_sym(H: np.ndarray, t: float) -> np.ndarray:
     return (V * np.cos(w * t)) @ V.T - 1j * ((V * np.sin(w * t)) @ V.T)
 
 
+def _sector_unitaries(sys: SpinSystem, t: float) -> list:
+    """exp(-i H t) sector by sector: one (rows, U) per sector size b, U the
+    (n_b, b, b) blocks V_b exp(-i w_b t) V_b^T (sum b^3), for b = 1 the
+    phases."""
+    out = []
+    for rows, w, V in sys._sector_blocks:
+        phase = np.exp(-1j * w * t)
+        out.append((rows, phase[:, :, None] if V is None
+                    else (V * phase[:, None, :]) @ V.transpose(0, 2, 1)))
+    return out
+
+
 def _free_step(sys: SpinSystem, t: float):
     """X -> exp(-i H t) X, one unitary per sector of the system's H.
 
     One-state sectors are one diagonal of phases over the whole of X, a
-    contiguous pass; each larger block's V_b exp(-i w_b t) V_b^T (sum b^3
-    per window) then overwrites its rows (sum b^2 m for m columns).
+    contiguous pass; each larger block then overwrites its rows (sum b^2 m
+    for m columns).
     """
     diag = np.ones(sys.dim, dtype=complex)
     blocks = []
-    for rows, w, V in sys._sector_blocks:
-        phase = np.exp(-1j * w * t)
-        if V is None:
-            diag[rows[:, 0]] = phase[:, 0]
+    for rows, U in _sector_unitaries(sys, t):
+        if rows.shape[1] == 1:
+            diag[rows[:, 0]] = U[:, 0, 0]
         else:
-            U = (V * phase[:, None, :]) @ V.transpose(0, 2, 1)
             blocks.append((rows, U))
     diag = diag[:, None]
 
@@ -416,13 +456,18 @@ def _pulse_rotation(sys: SpinSystem, event):
     return spins, np.array([[c, i_sin * e.conjugate()], [i_sin * e, c]])
 
 
-def _pulse_step(sys: SpinSystem, event):
-    """X -> U X for an ideal pulse: a 2x2 rotation on each target spin."""
-    spins, r = _pulse_rotation(sys, event)
+def _pulse_step(sys: SpinSystem, events):
+    """X -> U X for the ideal pulses of one instant: on each spin they
+    touch, the 2x2 product of its rotations in time order."""
+    rot = {}
+    for ev in events:
+        spins, r = _pulse_rotation(sys, ev)
+        for s in spins:
+            rot[s] = r @ rot[s] if s in rot else r
 
     def step(X):
         shape = X.shape
-        for s in spins:  # X as (2**s, 2, rest): the middle axis is spin s
+        for s, r in rot.items():  # X as (2**s, 2, rest): spin s in the middle
             X = (r @ X.reshape(1 << s, 2, -1)).reshape(shape)
         return X
     return step
@@ -485,10 +530,26 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     return step
 
 
-def _walk(sys: SpinSystem, seq, mode: str):
-    """Yield (end time, step) for each piece of seq.segments().
+def _pieces(seq, fuse: bool):
+    """(t0, t1, events) for each piece of seq.segments(), events () for a
+    free window.  With fuse, the zero-width pulses of one instant, which
+    follow each other in segments() with no window between, are one piece.
+    """
+    def zero_width(segment):
+        return segment[2] is not None and segment[2].duration == 0.0
+    for instant, run in itertools.groupby(seq.segments(), key=zero_width):
+        if instant and fuse:
+            run = list(run)
+            yield run[0][0], run[0][1], tuple(ev for *_, ev in run)
+        else:
+            for t0, t1, ev in run:
+                yield t0, t1, () if ev is None else (ev,)
 
-    step(X) returns U_segment @ X for X of shape (dim,) or (dim, m).  The
+
+def _walk(sys: SpinSystem, seq, mode: str, fuse: bool = False):
+    """Yield (end time, step) for each of _pieces(seq, fuse).
+
+    step(X) returns U_piece @ X for X of shape (dim,) or (dim, m).  The
     finite pulses' operator cache lives only as long as this walk.
     """
     if mode not in ("ideal", "sampled"):
@@ -497,13 +558,13 @@ def _walk(sys: SpinSystem, seq, mode: str):
         raise ConfigError("ideal mode takes only zero-width pulses; "
                           "finite widths need mode='sampled'")
     cache = {}
-    for t0, t1, ev in seq.segments():
-        if ev is None:
+    for t0, t1, events in _pieces(seq, fuse):
+        if not events:
             yield t1, _free_step(sys, t1 - t0)
-        elif ev.duration == 0.0:
-            yield t1, _pulse_step(sys, ev)
+        elif events[0].duration == 0.0:
+            yield t1, _pulse_step(sys, events)
         else:
-            yield t1, _sampled_pulse_step(sys, ev, cache)
+            yield t1, _sampled_pulse_step(sys, events[0], cache)
 
 
 def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
@@ -523,11 +584,73 @@ def evolve(sys: SpinSystem, seq, state: QuantumState, mode: str = "ideal"):
 
 
 def propagator(sys: SpinSystem, seq, mode: str = "ideal") -> Propagator:
-    """Total unitary of the sequence (composed left-to-right in time)."""
+    """Total unitary of the sequence (composed left-to-right in time), the
+    zero-width pulses of each instant applied as one step."""
     U = np.eye(sys.dim, dtype=complex)
-    for _, step in _walk(sys, seq, mode):
+    for _, step in _walk(sys, seq, mode, fuse=True):
         U = step(U)
     return Propagator(U)
+
+
+def pi_cycle_diagonal(sys: SpinSystem, seq) -> np.ndarray:
+    """diag(U) of a cycle of ideal pi pulses, carried sector by sector.
+
+    An ideal pi pulse sends basis state k to k ^ (its targets' bits) times
+    a phase, and a free window keeps each plane's Iz, so U maps each sector
+    of _sector_blocks onto one sector of the same size.  Per size b, U is
+    n_b blocks B (b x b), block i holding the columns of sector i, plus the
+    sector those columns are in now.  The pulses of one instant move every
+    block's rows to their image sector, one gather over sum b^2 entries; a
+    free window multiplies each block by its current sector's
+    V exp(-i w t) V^T.  diag(U) is each block's diagonal where its columns
+    end in their own sector, and 0 where they end elsewhere.
+
+    Each block is checked unitary, which checks U, as U is zero outside the
+    blocks.  ConfigError for a pulse other than a zero-width pi pulse.
+    """
+    if any(ev.duration != 0.0 or ev.flip_angle != math.pi
+           for ev in seq.events):
+        raise ConfigError("pi_cycle_diagonal takes only zero-width pi "
+                          "pulses")
+    n, d = sys.total_spins, sys.dim
+    by_size = sys._sector_blocks
+    pos = np.empty(d, dtype=np.int64)  # place within its sector
+    sector = np.empty(d, dtype=np.int64)  # index among its size's sectors
+    for rows, _, _ in by_size:
+        pos[rows] = np.arange(rows.shape[1])
+        sector[rows] = np.arange(len(rows))[:, None]
+    blocks = [np.tile(np.eye(rows.shape[1], dtype=complex), (len(rows), 1, 1))
+              for rows, _, _ in by_size]
+    now = [np.arange(len(rows)) for rows, _, _ in by_size]
+    for t0, t1, events in _pieces(seq, fuse=True):
+        if not events:
+            for c, (_, U) in enumerate(_sector_unitaries(sys, t1 - t0)):
+                U = U[now[c]]  # b = 1: a phase, multiplied as _free_step does
+                blocks[c] = U * blocks[c] if U.shape[1] == 1 else U @ blocks[c]
+            continue
+        # state k goes to k ^ flip with amplitude phase[k]
+        image, phase = np.arange(d), np.ones(d, dtype=complex)
+        for ev in events:
+            spins, r = _pulse_rotation(sys, ev)
+            for s in spins:
+                bit = 1 << (n - 1 - s)
+                phase *= np.where(image & bit, r[0, 1], r[1, 0])
+                image ^= bit
+        flip = int(image[0])
+        for c, (rows, _, _) in enumerate(by_size):
+            now[c] = sector[rows[now[c], 0] ^ flip]
+            src = rows[now[c]] ^ flip  # the state each new row came from
+            blocks[c] = (phase[src][:, :, None]
+                         * blocks[c][np.arange(len(rows))[:, None], pos[src]])
+    err = np.max([np.max(np.abs(B.conj().transpose(0, 2, 1) @ B
+                                - np.eye(B.shape[1]))) for B in blocks])
+    if not err <= 1e-9:
+        raise ConfigError(f"propagator not unitary (deviation {err:.2e})")
+    diag = np.zeros(d, dtype=complex)
+    for (rows, _, _), B, cur in zip(by_size, blocks, now):
+        home = cur == np.arange(len(rows))
+        diag[rows[home]] = np.diagonal(B[home], axis1=1, axis2=2)
+    return diag
 
 
 def expectation_iz_plane(sys: SpinSystem, state: QuantumState,
@@ -572,13 +695,13 @@ def diagonal_z_fidelity(U: np.ndarray):
     diagonal of U (phase of basis state k = sum of per-spin phases over the
     down bits of k) and returns (fidelity, phases) with fidelity
     |Tr(V^dag U)|/d for the fitted diagonal V.  Any zz phase or population
-    leakage lowers the fidelity.
+    leakage lowers the fidelity.  U is the matrix or its diagonal.
     """
-    d = U.shape[0]
+    diag = U if U.ndim == 1 else np.diag(U)
+    d = diag.shape[0]
     n = int(round(math.log2(d)))
     if 2 ** n != d:
         raise ConfigError("propagator dimension must be a power of 2")
-    diag = np.diag(U)
     ref = diag[0] if abs(diag[0]) > 1e-30 else 1.0
     phases = np.zeros(n)
     for s in range(n):

@@ -451,6 +451,7 @@ class TestExitCodes:
             raise np.linalg.LinAlgError("eigh did not converge")
 
         monkeypatch.setattr(spinsys, "propagator", fail)
+        monkeypatch.setattr(spinsys, "pi_cycle_diagonal", fail)
         out = tmp_path / "o"
         assert run(["simulate", "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -876,6 +877,28 @@ class TestOutputs:
         assert run(["simulate", "--config", cfg, "--out",
                     str(tmp_path / "o"), "--no-meta"]) == 0
 
+    def test_decoupling_simulate_builds_no_propagator(self, tmp_path,
+                                                      monkeypatch):
+        # the cycle's diagonal is carried sector by sector: at 12 spins no
+        # d x d array (134 MB as floats) is allocated
+        import tracemalloc
+
+        def fail(*args, **kwargs):
+            raise AssertionError("spinsys.propagator called")
+        monkeypatch.setattr(spinsys, "propagator", fail)
+        cfg = write_cfg(tmp_path, _v1(spin_system={
+            "n_planes": 4, "schedule": "decoupling",
+            "chain_positions_a": [[0, 0], [2.7214, 0], [1.3607, 2.3568]]}))
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--config", cfg, "--out",
+                        str(tmp_path / "o"), "--no-meta"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4096 ** 2 * 8
+
     def test_scalability_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, {
             "schema_version": 1,
@@ -921,6 +944,23 @@ class TestOutputs:
         summary = json.loads((out / "readout_summary.json").read_text())
         assert summary["adiabaticity"] == pytest.approx(10.0)
         assert summary["following_figure"] >= 0.99
+
+    def test_readout_zero_field_exits_0(self, tmp_path):
+        # omega_1 and the detuning underflow to 0: a zero-field step is the
+        # identity, with no 0/0 (a RuntimeWarning, an error under tier-1)
+        cfg = write_cfg(tmp_path, _v1(
+            lattice={"gamma_rad_per_s_T": 5e-324},
+            readout={"excursion_rad_per_s": 5e-324}))
+        out = tmp_path / "o"
+        assert run(["readout", "--config", cfg, "--out", str(out),
+                    "--no-meta"]) == 0
+        with open(out / "readout_cai_trace.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows and all(math.isfinite(float(x)) for r in rows for x in r)
+        summary = json.loads((out / "readout_summary.json").read_text())
+        assert summary["omega_1_rad_per_s"] == 0.0
+        assert summary["norm_drift"] == 0.0
+        assert math.isfinite(summary["modulation_amplitude"])
 
     @pytest.mark.parametrize("delta_omega", [None, 1e9, 1e4])
     def test_readout_warning(self, tmp_path, delta_omega):

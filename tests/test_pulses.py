@@ -67,6 +67,14 @@ class TestSequenceValidation:
         with pytest.raises(SequenceValidationError):
             Sequence((e,), cycle_time=5e-6)
 
+    def test_offender_listed_once(self):
+        # the second pulse both overlaps the first and runs past the cycle
+        events = (PulseEvent(0.0, 2e-6, math.pi, PHASE_X, 0),
+                  PulseEvent(1e-6, 5e-6, math.pi, PHASE_X, 0))
+        with pytest.raises(SequenceValidationError) as exc:
+            Sequence(events, cycle_time=3e-6)
+        assert exc.value.offenders == [events[1]]
+
     def test_event_field_validation(self):
         with pytest.raises(ConfigError):
             PulseEvent(-1.0, 0.0, math.pi, PHASE_X, 0)

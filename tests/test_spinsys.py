@@ -391,6 +391,66 @@ class TestEvolution:
             Propagator(np.full((2, 2), np.nan))
 
 
+class TestSectorCarry:
+    @pytest.mark.parametrize("n_planes, n_chains", [
+        (3, 1), (8, 1), (4, 2), (2, 3), (4, 3)])
+    def test_sector_blocks_written_without_dense_h(self, monkeypatch,
+                                                   n_planes, n_chains):
+        chains = [(0.0, 0.0), (2.7214, 0.0), (1.3607, 2.3568)][:n_chains]
+        sys = spinsys.build_system(FAP, n_planes, chains, 1.4e6)
+
+        def fail(self):
+            raise AssertionError("dense H built")
+        monkeypatch.setattr(SpinSystem, "hamiltonian", fail)
+        blocks = sys._sector_hamiltonians()
+        H = spinsys._bit_operator(sys, *sys._terms())
+        for rows, Hb in blocks:
+            assert np.array_equal(Hb, H[rows[:, :, None], rows[:, None, :]])
+
+    def test_pi_cycle_diagonal_takes_only_ideal_pi_pulses(self):
+        sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
+        for ev in (pulses.PulseEvent(0.0, 0.0, 0.5 * math.pi, 0.0, 0),
+                   pulses.PulseEvent(0.0, 1e-7, math.pi, 0.0, 0)):
+            seq = pulses.Sequence((ev,), cycle_time=1e-6)
+            with pytest.raises(ConfigError, match="zero-width pi pulses"):
+                spinsys.pi_cycle_diagonal(sys, seq)
+
+    def test_pi_cycle_diagonal_checks_each_block_unitary(self, monkeypatch):
+        unitaries = spinsys._sector_unitaries
+        monkeypatch.setattr(spinsys, "_sector_unitaries", lambda sys, t: [
+            (rows, 1.5 * U) for rows, U in unitaries(sys, t)])
+        sys = spinsys.build_system(FAP, 2, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
+        seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(2), 6e-6)
+        with pytest.raises(ConfigError, match="propagator not unitary"):
+            spinsys.pi_cycle_diagonal(sys, seq)
+
+    def test_odd_flip_count_leaves_no_diagonal(self):
+        # one pi pulse on plane 1 of one chain: every column ends in
+        # another sector.  With two chains, the half-up sector of the plane
+        # maps onto itself, and its flip-flop leaves a diagonal there.
+        ev = pulses.PulseEvent(1e-6, 0.0, math.pi, pulses.PHASE_X, 1)
+        seq = pulses.Sequence((ev,), cycle_time=2e-6)
+        sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
+        assert not np.any(spinsys.pi_cycle_diagonal(sys, seq))
+        sys = spinsys.build_system(FAP, 2, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
+        diag = spinsys.pi_cycle_diagonal(sys, seq)
+        half_up = sys._plane_iz[:, 1] == 0.0
+        assert not np.any(diag[~half_up]) and np.all(diag[half_up])
+
+    def test_fused_instant_counts_each_pulse(self):
+        # two pi pulses on one plane at one instant, 0 and pi/2 in phase,
+        # are exp(+i pi Iz) on each spin: the diagonal (+i, -i) per spin
+        sys = SpinSystem(1, 1, (0.0,), ())
+        seq = pulses.Sequence((
+            pulses.PulseEvent(1e-6, 0.0, math.pi, pulses.PHASE_X, 0),
+            pulses.PulseEvent(1e-6, 0.0, math.pi, pulses.PHASE_Y, 0),
+        ), cycle_time=2e-6)
+        want = np.diag(spinsys.propagator(sys, seq).matrix)
+        assert np.max(np.abs(want - [1j, -1j])) <= 1e-15
+        got = spinsys.pi_cycle_diagonal(sys, seq)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+
 class TestFidelities:
     def test_gate_fidelity_phase_invariant(self):
         perm = np.array([0, 1, 3, 2])  # CNOT, control spin 0
@@ -421,6 +481,16 @@ class TestFidelities:
         U2 = expi(0.4 * Iz0 + 1.1 * Iz1 + 2.0 * (Iz0 @ Iz1) * 4)
         fid2, _ = spinsys.diagonal_z_fidelity(U2)
         assert fid2 < 0.99
+        # the diagonal alone gives the same fit
+        fid1, phases1 = spinsys.diagonal_z_fidelity(np.diag(U))
+        assert fid1 == fid and np.array_equal(phases1, phases)
+
+    def test_diagonal_z_fidelity_fits_a_small_entry(self):
+        # a single-flip entry far below 1 in modulus still carries its phase
+        diag = np.ones(4, dtype=complex)
+        diag[1] = 1e-6 * np.exp(0.7j)  # spin 1 down
+        _, phases = spinsys.diagonal_z_fidelity(diag)
+        assert phases[1] == pytest.approx(0.7, abs=1e-12)
 
 
 class TestAverageHamiltonian:
