@@ -162,6 +162,17 @@ class TestSigmaOverDelta:
         assert len(ratios) >= 2
         assert abs(ratios[-1] - ratios[-2]) <= 1e-4 * ratios[-1]
 
+    @pytest.mark.parametrize("step", [0, 1, 2])
+    def test_stops_at_the_first_doubling_within_rel_tol(self, step):
+        # rel_tol set just under one doubling's relative step: the sum must
+        # run past that doubling and stop at the next, whose step is about
+        # 15 times smaller, with the same ratios on the way
+        trace = lattice.sigma_over_delta(FAP, rel_tol=1e-6).trace
+        (_, prev), (_, ratio) = trace[step:step + 2]
+        m = lattice.sigma_over_delta(
+            FAP, rel_tol=abs(ratio - prev) / ratio / 1.5)
+        assert m.trace == trace[:step + 3]
+
     @pytest.mark.parametrize("rel_tol", [0.0, -1e-4, math.nan])
     def test_bad_rel_tol_rejected(self, rel_tol):
         # NaN fails the check up front instead of running every doubling

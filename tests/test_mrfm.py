@@ -336,6 +336,13 @@ def test_cai_blocks_match_stepwise_oracle_exactly(monkeypatch, params,
 
 
 class TestCAI:
+    def test_excursion_warning_from_half_the_splitting(self):
+        p = cai_params()
+        half = 2.0 * p.excursion  # excursion exactly 0.5 delta_omega
+        assert p.excursion_warning(half) is not None
+        assert p.excursion_warning(math.nextafter(half, math.inf)) is None
+        assert p.excursion_warning(None) is None
+
     def test_adiabaticity_value(self):
         p = cai_params(adiabaticity=10.0)
         assert p.adiabaticity == pytest.approx(10.0)

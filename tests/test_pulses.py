@@ -324,6 +324,14 @@ class TestCompileCnot:
         U = spinsys.propagator(sys, seq)
         assert spinsys.gate_fidelity(U, target) > 1 - 1e-9
 
+    def test_z_rotation_dropped_only_at_a_whole_turn(self):
+        # a 1e-12 rad rotation is still a rotation; 0 and 2 pi are none
+        events = pulses._z_rotation_events(1, 1e-12, 2e-6)
+        assert [ev.flip_angle for ev in events] == [
+            0.5 * math.pi, 1e-12, 0.5 * math.pi]
+        assert pulses._z_rotation_events(1, TWO_PI, 2e-6) == []
+        assert pulses._z_rotation_events(1, 0.0, 2e-6) == []
+
     def test_non_adjacent_rejected(self):
         sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
         with pytest.raises(ConfigError):

@@ -416,13 +416,38 @@ class TestSectorCarry:
                 spinsys.pi_cycle_diagonal(sys, seq)
 
     def test_pi_cycle_diagonal_checks_each_block_unitary(self, monkeypatch):
-        unitaries = spinsys._sector_unitaries
-        monkeypatch.setattr(spinsys, "_sector_unitaries", lambda sys, t: [
-            (rows, 1.5 * U) for rows, U in unitaries(sys, t)])
+        free_step = spinsys._free_step
+        monkeypatch.setattr(spinsys, "_free_step", lambda sys, t: (
+            lambda X: 1.5 * free_step(sys, t)(X)))
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
         seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(2), 6e-6)
         with pytest.raises(ConfigError, match="propagator not unitary"):
             spinsys.pi_cycle_diagonal(sys, seq)
+
+    def test_pi_cycle_diagonal_steps_free_windows_by_free_step(
+            self, monkeypatch):
+        # the carry has no free-window code of its own: one _free_step per
+        # window, the walk's own
+        free_step, taken = spinsys._free_step, []
+
+        def counted(sys, t):
+            taken.append(t)
+            return free_step(sys, t)
+        monkeypatch.setattr(spinsys, "_free_step", counted)
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
+        seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(3), 6e-6)
+        spinsys.pi_cycle_diagonal(sys, seq)
+        windows = [t1 - t0 for t0, t1, ev in seq.segments() if ev is None]
+        assert len(windows) > 1 and taken == windows
+
+    def test_check_unitary_checks_every_block(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+        Q = np.linalg.qr(A)[0]  # a stack of five 4 x 4 unitaries
+        spinsys._check_unitary(Q)
+        Q[3] *= 1.5
+        with pytest.raises(ConfigError, match="propagator not unitary"):
+            spinsys._check_unitary(Q)
 
     def test_odd_flip_count_leaves_no_diagonal(self):
         # one pi pulse on plane 1 of one chain: every column ends in
