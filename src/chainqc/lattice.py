@@ -15,6 +15,7 @@ formulas run without it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
@@ -23,6 +24,8 @@ from .constants import HBAR, MU0_OVER_4PI, TWO_PI
 from .errors import ConfigError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 __all__ = [
@@ -37,11 +40,16 @@ __all__ = [
     "chain_sites_within",
 ]
 
-# Cap on the coefficient grid of chain_sites_within; both presets converge
-# within it for rel_tol >= 1e-10.  It also bounds the sigma sum's doublings:
-# the basis's smallest singular value is at most the chain spacing, so any
-# lattice reaches the cap by the 9th.
+# Cap on the coefficient grid of chain_sites_within and of each doubling of
+# the sigma sum; both presets converge within it for rel_tol >= 1e-10.  The
+# grid is enumerated a row block at a time, so the cap bounds time, not
+# memory: a grid at the cap takes about 0.6 s.  It also bounds the sigma
+# sum's doublings: the basis's smallest singular value is at most the chain
+# spacing, so any lattice reaches the cap by the 9th.
 MAX_GRID_POINTS = 10_000_000
+# Coefficient rows per block of that enumeration: at the cap a block is
+# 16 x 3161 points, a few MB of temporaries.
+_GRID_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -161,14 +169,18 @@ def chain_sites_within(lat: ChainLattice, radius: float) -> np.ndarray:
     sorted by (norm, x, y)."""
     import numpy as np
 
-    pts, norms = _sites(lat, radius)
+    blocks = list(_site_blocks(lat, -math.inf, radius))
+    pts = np.concatenate([pts for pts, _ in blocks])
+    norms = np.concatenate([norms for _, norms in blocks])
     order = np.lexsort((pts[:, 1], pts[:, 0], norms))
     return pts[order]
 
 
-def _sites(lat: ChainLattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """chain_sites_within's points and their norms, in coefficient-grid
-    order."""
+def _site_blocks(lat: ChainLattice, inner: float, radius: float
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the lattice points other than the origin with
+    inner < norm <= radius, and their norms, a block of _GRID_ROWS
+    coefficient rows at a time, in coefficient-grid order."""
     import numpy as np
 
     if not 0 <= radius < math.inf:
@@ -185,12 +197,14 @@ def _sites(lat: ChainLattice, radius: float) -> tuple[np.ndarray, np.ndarray]:
             f"lattice sum needs a {(2 * nmax + 1) ** 2}-point coefficient "
             f"grid, past the cap of {MAX_GRID_POINTS}")
     rng = np.arange(-nmax, nmax + 1)
-    ii, jj = np.meshgrid(rng, rng, indexing="ij")
-    coeffs = np.stack([ii.ravel(), jj.ravel()], axis=1)
-    pts = coeffs @ B.T
-    norms = np.linalg.norm(pts, axis=1)
-    mask = (norms <= radius) & ~np.all(coeffs == 0, axis=1)
-    return pts[mask], norms[mask]
+    for i0 in range(0, len(rng), _GRID_ROWS):
+        ii, jj = np.meshgrid(rng[i0:i0 + _GRID_ROWS], rng, indexing="ij")
+        coeffs = np.stack([ii.ravel(), jj.ravel()], axis=1)
+        pts = coeffs @ B.T
+        norms = np.linalg.norm(pts, axis=1)
+        mask = ((norms > inner) & (norms <= radius)
+                & ((ii != 0) | (jj != 0)).ravel())
+        yield pts[mask], norms[mask]
 
 
 def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
@@ -198,24 +212,35 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
     """Effective linewidth ratio sigma/|delta_omega| during recoupling.
 
     Sums b(lambda)^2 over all transverse lattice sites, expanding the cutoff
-    radius from 4x the nearest-chain spacing by successive doublings until
-    the ratio changes by less than ``rel_tol``; ConfigError once the site
-    grid would pass MAX_GRID_POINTS.
+    radius R from 4x the nearest-chain spacing by successive doublings until
+    the ratio changes by less than ``rel_tol``; ConfigError once a doubling's
+    coefficient grid would pass MAX_GRID_POINTS.  Each doubling adds only the
+    new shell R/2 < |r| <= R, enumerated a row block at a time and summed
+    correctly rounded (math.fsum); the total is the fsum of the shell sums,
+    so the bits do not depend on the blocking.
 
     ``include_lower_plane`` additionally counts the copies in plane i-1
     (sensitivity study; the baseline sum covers one plane only).
     """
-    import numpy as np
-
     if not rel_tol > 0:
         raise ConfigError("rel_tol must be positive")
     spacing = lat.min_transverse_spacing
-    radius = 4.0 * spacing
+    inner, radius = -math.inf, 4.0 * spacing
+    counts = []
+
+    def shell_terms(inner, radius):
+        # b(lambda)^2 of the shell's sites, one list per block
+        for _, norms in _site_blocks(lat, inner, radius):
+            counts.append(len(norms))
+            yield (b_coefficient(norms / lat.a) ** 2).tolist()
+
     prev = None
+    shells = []
     trace = []
     while True:
-        _, norms = _sites(lat, radius)
-        total = float(np.sum(b_coefficient(norms / lat.a) ** 2))
+        shells.append(math.fsum(itertools.chain.from_iterable(
+            shell_terms(inner, radius))))
+        total = math.fsum(shells)
         if include_lower_plane:
             total *= 2.0
         ratio = 0.5 * math.sqrt(total)
@@ -228,8 +253,8 @@ def sigma_over_delta(lat: ChainLattice, rel_tol: float = 1e-4,
                     sigma=ratio * abs(delta),
                     sigma_over_delta=ratio,
                     convergence_radius=radius,
-                    n_sites=len(norms),
+                    n_sites=sum(counts),
                     trace=tuple(trace),
                 )
         prev = ratio
-        radius *= 2.0
+        inner, radius = radius, 2.0 * radius

@@ -79,10 +79,15 @@ ID2 = np.eye(2, dtype=complex)
 
 
 def single_spin_op(n_spins: int, index: int, op: np.ndarray) -> np.ndarray:
-    """Embed a single-spin operator at position ``index`` in an n-spin space."""
-    out = np.array([[1.0 + 0.0j]])
-    for k in range(n_spins):
-        out = np.kron(out, op if k == index else ID2)
+    """Embed a single-spin operator at position ``index`` in an n-spin space,
+    written from the bit table: column k holds op[b, b] on the diagonal and
+    op[1 - b, b] at row k with the spin flipped, b being the spin's bit."""
+    op = np.asarray(op, dtype=complex)
+    k = np.arange(2 ** n_spins)
+    b = _down_bits(n_spins)[:, index]
+    out = np.zeros((k.size, k.size), dtype=complex)
+    out[k, k] = op[b, b]
+    out[k ^ (1 << (n_spins - 1 - index)), k] = op[1 - b, b]
     return out
 
 

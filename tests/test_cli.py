@@ -444,6 +444,18 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_converging_lattice_sum_exits_2(self, tmp_path, capsys):
+        # chains far apart against their transverse spacing: every site has
+        # lambda << 1 and b ~ -1, so the ratio grows at every doubling until
+        # the coefficient grid passes its cap
+        cfg = write_cfg(tmp_path, _v1(lattice={"a_m": 3.0}))
+        out = tmp_path / "o"
+        assert run(["lattice", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "coefficient grid, past the cap of 10000000" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_linalg_error_exits_3(self, tmp_path, capsys, monkeypatch):
         import numpy as np
 

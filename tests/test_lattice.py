@@ -1,9 +1,12 @@
 """Lattice geometry and dipolar-coupling sums."""
 
 import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chainqc.constants import HBAR, MU0_OVER_4PI, TWO_PI
 from chainqc.errors import ConfigError
@@ -12,6 +15,25 @@ from chainqc import lattice
 
 FAP = lattice.get_preset("fluorapatite")
 CUBIC = lattice.get_preset("simple_cubic")
+
+
+def whole_grid_sites(lat, radius):
+    """Oracle for the row blocks: the lattice points other than the origin
+    with norm <= radius and their norms, from the whole coefficient grid at
+    once, in grid order."""
+    B = np.array(lat.transverse_basis, dtype=float).T  # basis as columns
+    smin = np.linalg.svd(B, compute_uv=False)[-1]
+    if radius == 0.0 or smin == 0.0:
+        nmax = 0
+    else:
+        nmax = int(math.ceil(radius / smin)) + 1
+    rng = np.arange(-nmax, nmax + 1)
+    ii, jj = np.meshgrid(rng, rng, indexing="ij")
+    coeffs = np.stack([ii.ravel(), jj.ravel()], axis=1)
+    pts = coeffs @ B.T
+    norms = np.linalg.norm(pts, axis=1)
+    mask = (norms <= radius) & ~np.all(coeffs == 0, axis=1)
+    return pts[mask], norms[mask]
 
 
 class TestPresets:
@@ -222,6 +244,68 @@ def test_sum_matches_sorted_reference(lat, include_lower_plane, rel_tol):
         assert abs(ratio - ref_ratio) <= 1e-14 * ref_ratio
     assert m.convergence_radius == trace[-1][0]
     assert m.sigma_over_delta == m.trace[-1][1]
+
+
+@pytest.mark.parametrize("lat", [FAP, CUBIC], ids=lambda lat: lat.name)
+@pytest.mark.parametrize("include_lower_plane", [False, True])
+@pytest.mark.parametrize("rel_tol", [1e-4, 1e-7])
+def test_sum_does_not_depend_on_the_row_block(lat, include_lower_plane,
+                                              rel_tol):
+    m = lattice.sigma_over_delta(lat, rel_tol, include_lower_plane)
+    for rows in (1, 7, 10**6):
+        with mock.patch.object(lattice, "_GRID_ROWS", rows):
+            assert lattice.sigma_over_delta(
+                lat, rel_tol, include_lower_plane) == m
+
+
+@pytest.mark.parametrize("lat", [FAP, CUBIC], ids=lambda lat: lat.name)
+def test_trace_sums_each_shell_exactly(lat):
+    # each shell's sum is its b^2 terms added in exact rational arithmetic
+    # and rounded once; the total is the correctly rounded sum of the shells
+    m = lattice.sigma_over_delta(lat, rel_tol=1e-5)
+    inner = -math.inf
+    shells = []
+    for radius, ratio in m.trace:
+        _, norms = whole_grid_sites(lat, radius)
+        terms = lattice.b_coefficient(norms[norms > inner] / lat.a) ** 2
+        shells.append(float(sum(map(Fraction, terms.tolist()), Fraction())))
+        total = float(sum(map(Fraction, shells), Fraction()))
+        assert ratio == 0.5 * math.sqrt(total)
+        inner = radius
+    assert m.n_sites == len(norms)
+
+
+_COMPONENT = st.floats(-1.0, 1.0, allow_subnormal=False).map(
+    lambda x: 1e-9 * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(basis=st.tuples(st.tuples(_COMPONENT, _COMPONENT),
+                       st.tuples(_COMPONENT, _COMPONENT)),
+       extent=st.floats(1.0, 25.0),
+       picks=st.tuples(st.floats(0.0, 0.9), st.floats(0.5, 1.0)),
+       open_inner=st.booleans(),
+       rows=st.integers(1, 20))
+def test_shell_blocks_hold_the_whole_grid_sites(basis, extent, picks,
+                                                open_inner, rows):
+    (ax, ay), (bx, by) = basis
+    assume(ax * by - ay * bx != 0.0)  # ChainLattice refuses collinear bases
+    lat = lattice.ChainLattice("random", 1e-10, basis, 1.0)
+    smin = np.linalg.svd(np.array(basis).T, compute_uv=False)[-1]
+    _, norms = whole_grid_sites(lat, extent * smin)
+    # shell edges on site norms, so that sites lie on both edges
+    edges = np.sort(np.append(norms, extent * smin))
+    inner, radius = sorted(float(edges[int(p * (len(edges) - 1))])
+                           for p in picks)
+    if open_inner:
+        inner = -math.inf
+    pts, norms = whole_grid_sites(lat, radius)
+    keep = norms > inner
+    with mock.patch.object(lattice, "_GRID_ROWS", rows):
+        blocks = list(lattice._site_blocks(lat, inner, radius))
+    assert np.array_equal(np.concatenate([b[0] for b in blocks]), pts[keep])
+    assert np.array_equal(np.concatenate([b[1] for b in blocks]),
+                          norms[keep])
 
 
 class TestSplitting:

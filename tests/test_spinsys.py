@@ -11,6 +11,7 @@ from chainqc.constants import HBAR, MU0, TWO_PI
 from chainqc.errors import ConfigError
 from chainqc import lattice, pulses, spinsys
 from chainqc.spinsys import (
+    ID2,
     Coupling,
     Propagator,
     QuantumState,
@@ -59,6 +60,21 @@ class TestOperators:
         # acts only on the middle tensor factor
         expect = np.kron(np.kron(np.eye(2), SZ), np.eye(2))
         assert np.allclose(op, expect)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("name", ["SX", "SY", "SZ", "ID2", "general"])
+    def test_embedding_equals_kronecker_chain(self, n, name):
+        # oracle: the Kronecker chain the bit-table writer replaced
+        op = {"SX": SX, "SY": SY, "SZ": SZ, "ID2": ID2,
+              "general": np.array([[0.3 - 1.7j, -2.1 + 0.4j],
+                                   [1.1 + 0.9j, -0.6 - 0.2j]])}[name]
+        for index in range(n):
+            chain = np.array([[1.0 + 0.0j]])
+            for k in range(n):
+                chain = np.kron(chain, op if k == index else ID2)
+            out = single_spin_op(n, index, op)
+            assert out.dtype == complex
+            assert np.array_equal(out, chain)
 
 
 class TestSpinSystem:
