@@ -136,9 +136,14 @@ def dipolar_coupling(lat: ChainLattice, dx, dy, dz) -> float:
     the field along z: (mu0/4pi) gamma^2 hbar (1 - 3 cos^2 theta) / r^3,
     -2 (mu0/4pi) gamma^2 hbar / r^3 on one chain; inf where r^3 underflows.
     """
-    base = MU0_OVER_4PI * lat.gamma**2 * HBAR
-    r = math.sqrt(dx**2 + dy**2 + dz**2)
-    r3 = r**3
+    try:
+        base = MU0_OVER_4PI * lat.gamma**2 * HBAR
+        r = math.sqrt(dx**2 + dy**2 + dz**2)
+        r3 = r**3
+    except OverflowError:
+        raise OverflowError(
+            f"dipolar coupling overflows for gamma = {lat.gamma:.3e} rad/s/T "
+            f"and separation ({dx:.3e}, {dy:.3e}, {dz:.3e}) m") from None
     return base * (1.0 - 3.0 * (dz / r) ** 2) / r3 if r3 > 0.0 else math.inf
 
 

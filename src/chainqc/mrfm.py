@@ -111,6 +111,9 @@ class CAIParams:
         for name in ("omega_m", "excursion", "gamma"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
+        if not math.isfinite(self.omega_1):
+            raise ConfigError(f"b1_T = {self.b1:.3e} T times gamma = "
+                              f"{self.gamma:.3e} rad/s/T is not finite")
         if not (isinstance(self.n_periods, int) and self.n_periods >= 1):
             raise ConfigError("n_periods must be an integer of at least 1")
 

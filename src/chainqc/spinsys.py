@@ -26,10 +26,10 @@ eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
 reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
 A propagator applies the pulses of one instant as one step, one 2x2 product
-per touched spin.  An ideal pi pulse maps each basis state to one basis
-state, so a cycle of them maps each sector onto one sector; its diagonal
+per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so a
+cycle of them maps each sector onto one sector; its diagonal
 (pi_cycle_diagonal) carries the sectors' columns stacked in one (d, b_max)
-array through the same free-window step (4x3 simulate: 0.25 s, 54 MB).
+array through the walk's own steps (4x3 simulate: 0.25 s, 54 MB).
 A sampled (finite-width) pulse writes its drive from the same bit table;
 the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
 differ only by diagonal phases that advance by the same D each step, so the
@@ -321,13 +321,9 @@ class QuantumState:
 
     @classmethod
     def all_plus_x(cls, n_spins: int) -> "QuantumState":
-        """Every spin along +x: the uniform vector, each amplitude the
-        product of n single-spin amplitudes 1/sqrt(2)."""
-        amp = 1.0 + 0.0j
-        for _ in range(n_spins):
-            amp *= 1.0 / math.sqrt(2.0)
-        vec = np.full(2 ** n_spins, amp)
-        return cls.pure(vec / np.linalg.norm(vec))
+        """Every spin along +x: the uniform vector 2^(-n/2)."""
+        return cls.pure(np.full(2 ** n_spins, 2.0 ** (-0.5 * n_spins),
+                                dtype=complex))
 
     def apply(self, U: np.ndarray) -> "QuantumState":
         out = self._stepped(functools.partial(np.matmul, U))
@@ -447,13 +443,15 @@ def _free_step(sys: SpinSystem, t: float):
 
 def _pulse_rotation(sys: SpinSystem, event):
     """(target spins, r) of an ideal pulse, with
-    r = exp(+i theta/2 (cos(phi) sx + sin(phi) sy)) on each target."""
+    r = exp(+i theta/2 (cos(phi) sx + sin(phi) sy)) on each target.  A pi
+    pulse's r has an exactly zero diagonal, where cos(pi/2) would leave
+    6.1e-17, so it flips bits exactly."""
     if event.target == "broadband":
         spins = range(sys.total_spins)
     else:
         spins = sys.plane_spins(event.target)
-    c = math.cos(0.5 * event.flip_angle)
-    i_sin = 1j * math.sin(0.5 * event.flip_angle)
+    c = 0.0 if event.flip_angle == math.pi else math.cos(event.flip_angle / 2)
+    i_sin = 1j * math.sin(event.flip_angle / 2)
     e = cmath.exp(1j * event.phase)
     return spins, np.array([[c, i_sin * e.conjugate()], [i_sin * e, c]])
 
@@ -597,15 +595,15 @@ def propagator(sys: SpinSystem, seq, mode: str = "ideal") -> Propagator:
 def pi_cycle_diagonal(sys: SpinSystem, seq) -> np.ndarray:
     """diag(U) of a cycle of ideal pi pulses, all sectors carried at once.
 
-    An ideal pi pulse sends basis state k to k ^ (its targets' bits) times
-    a phase, and a free window keeps each plane's Iz, so U maps each sector
-    of _sector_blocks onto one sector, and different sectors' columns never
-    share a row.  They are stacked in one (d, b_max) array X, column q
-    holding column q of every sector: X[k, pos[k]] = 1 to start, pos[k]
-    k's place in its sector.  A pulse instant moves each row to its image
-    times its phase (now[k]: where row k is now); a free window is
-    _free_step's.  diag[k] = X[k, pos[k]] where k's sector ends in itself,
-    else 0.
+    An ideal pi pulse flips its targets' bits exactly, times a phase, and a
+    free window keeps each plane's Iz, so U sends each sector of
+    _sector_blocks onto one sector: the one of k ^ mask, mask the XOR of
+    every pulse's target bits (bit flips commute).  Different sectors'
+    columns never share a row, so they are stacked in one (d, b_max) array
+    X, column q holding column q of every sector: X[k, pos[k]] = 1 to
+    start, pos[k] k's place in its sector.  X goes through the steps of the
+    walk that propagator takes I through.  diag[k] = X[k, pos[k]] where k's
+    sector ends in itself, else 0.
 
     Each sector's block is checked unitary, which checks U, as U is zero
     outside the blocks.  ConfigError for a pulse other than a zero-width pi
@@ -622,21 +620,13 @@ def pi_cycle_diagonal(sys: SpinSystem, seq) -> np.ndarray:
         pos[rows] = np.arange(rows.shape[1])
         home[rows] = rows[:, :1]
     X = np.eye(pos.max() + 1, dtype=complex)[pos]
-    now = k
-    for t0, t1, events in _pieces(seq, fuse=True):
-        if not events:
-            X = _free_step(sys, t1 - t0)(X)
-            continue
-        # state k goes to image[k] with amplitude phase[k]
-        image, phase = k.copy(), np.ones(sys.dim, dtype=complex)
-        for ev in events:
-            spins, r = _pulse_rotation(sys, ev)
-            for s in spins:
-                bit = 1 << (n - 1 - s)
-                phase *= np.where(image & bit, r[0, 1], r[1, 0])
-                image ^= bit
-        X[image] = phase[:, None] * X
-        now = image[now]
+    for _, step in _walk(sys, seq, "ideal", fuse=True):
+        X = step(X)
+    mask = 0
+    for ev in seq.events:
+        for s in _pulse_rotation(sys, ev)[0]:
+            mask ^= 1 << (n - 1 - s)
+    now = k ^ mask  # where column k ends
     for rows, _, _ in sys._sector_blocks:
         _check_unitary(X[now[rows], :rows.shape[1]])
     return np.where(home[now] == home, X[k, pos], 0.0)

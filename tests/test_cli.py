@@ -433,15 +433,49 @@ class TestExitCodes:
         assert "config invalid at" in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, a_m", [
-        ("lattice", 1e-300),   # an inf coupling the table refuses
-        ("simulate", 1e300),   # OverflowError building the register
+    _OVERFLOW = "dipolar coupling overflows for gamma = "
+
+    @pytest.mark.parametrize("command, body, message", [
+        # an inf coupling the table refuses
+        pytest.param("lattice", {"lattice": {"a_m": 1e-300}},
+                     "lattice_coupling.csv would hold a non-finite number",
+                     id="lattice-1e-300"),
+        # a power in the dipolar coupling overflows
+        pytest.param("simulate", {"lattice": {"a_m": 1e300}},
+                     _OVERFLOW + "2.513e+08 rad/s/T and separation "
+                     "(0.000e+00, 0.000e+00, 1.000e+300) m",
+                     id="simulate-1e+300"),
+        pytest.param("lattice", {"lattice": {"a_m": 1e300}},
+                     _OVERFLOW + "2.513e+08", id="lattice-a_m"),
+        pytest.param("lattice", {"lattice": {"gamma_rad_per_s_T": 1e300}},
+                     _OVERFLOW + "1.000e+300", id="lattice-gamma"),
+        pytest.param("simulate", {"lattice": {"gamma_rad_per_s_T": 1e300}},
+                     _OVERFLOW + "1.000e+300", id="simulate-gamma"),
+        pytest.param("simulate", {"spin_system": {
+                         "chain_positions_a": [[0.0, 0.0], [1e300, 0.0]]}},
+                     _OVERFLOW + "2.513e+08 rad/s/T and separation "
+                     "(3.442e+290, 0.000e+00, 0.000e+00) m",
+                     id="simulate-chain-position"),
     ])
-    def test_arithmetic_error_exits_3(self, tmp_path, capsys, command, a_m):
-        cfg = write_cfg(tmp_path, _v1(lattice={"a_m": a_m}))
+    def test_arithmetic_error_exits_3(self, tmp_path, capsys, command, body,
+                                      message):
+        cfg = write_cfg(tmp_path, _v1(**body))
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"numerical failure: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_readout_non_finite_drive_exits_2(self, tmp_path, capsys):
+        # gamma * b1 overflows to inf, and the step 0.1 / inf would be 0
+        cfg = write_cfg(tmp_path, _v1(readout={"b1_T": 1e300}))
+        out = tmp_path / "o"
+        assert run(["readout", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("config error: b1_T = 1.000e+300 T times gamma = "
+                "2.513e+08 rad/s/T is not finite") in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_non_converging_lattice_sum_exits_2(self, tmp_path, capsys):

@@ -456,6 +456,79 @@ class TestSectorCarry:
         windows = [t1 - t0 for t0, t1, ev in seq.segments() if ev is None]
         assert len(windows) > 1 and taken == windows
 
+    def test_pi_cycle_diagonal_steps_pulses_by_pulse_step(self, monkeypatch):
+        # the carry has no pulse code of its own: one _pulse_step per pulse
+        # instant, the walk's own, all pulses of the instant at once
+        pulse_step, taken = spinsys._pulse_step, []
+
+        def counted(sys, events):
+            taken.append(tuple(events))
+            return pulse_step(sys, events)
+        monkeypatch.setattr(spinsys, "_pulse_step", counted)
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
+        seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(3), 6e-6)
+        spinsys.pi_cycle_diagonal(sys, seq)
+        instants = sorted({ev.t_start for ev in seq.events})
+        assert len(instants) < len(seq.events)  # some instants fuse pulses
+        assert [ev.t_start for ev, *_ in taken] == instants
+        assert [ev for events in taken for ev in events] == [
+            ev for *_, ev in seq.segments() if ev is not None]
+
+    @pytest.mark.parametrize("phase", [pulses.PHASE_X, pulses.PHASE_Y],
+                             ids=["x", "y"])
+    @pytest.mark.parametrize("target", [1, "broadband"])
+    def test_pi_pulse_flips_bits_exactly(self, phase, target):
+        sys = SpinSystem(2, 2, (0.0, 1e5), ())
+        ev = pulses.PulseEvent(1e-6, 0.0, math.pi, phase, target)
+        spins, r = spinsys._pulse_rotation(sys, ev)
+        assert list(spins) == ([2, 3] if target == 1 else [0, 1, 2, 3])
+        assert r[0, 0] == 0.0 and r[1, 1] == 0.0
+        assert np.max(np.abs(r.conj().T @ r - ID2)) <= 1e-15
+
+    @pytest.mark.parametrize("n_planes, n_chains", [(3, 1), (8, 1), (4, 2)])
+    def test_pi_cycle_diagonal_is_the_dense_diagonal(self, n_planes,
+                                                     n_chains):
+        # the carry takes the propagator's own steps, so at these sizes it
+        # has the dense diagonal's bits
+        chains = [(0.0, 0.0), (2.7214, 0.0)][:n_chains]
+        sys = spinsys.build_system(FAP, n_planes, chains, 1.4e6)
+        seq = pulses.decoupling_schedule(
+            pulses.hadamard_sign_matrix(n_planes), 6e-6)
+        assert np.array_equal(spinsys.pi_cycle_diagonal(sys, seq),
+                              np.diag(spinsys.propagator(sys, seq).matrix))
+
+    @pytest.mark.parametrize("n_planes, n_chains", [(3, 1), (4, 2), (3, 3)])
+    def test_pi_cycle_is_zero_outside_its_sector_blocks(self, n_planes,
+                                                        n_chains):
+        # exact bit flips: column k ends in the sector of k with every plane
+        # flipped an odd number of times turned over, and nowhere else
+        chains = [(0.0, 0.0), (2.7214, 0.0), (1.3607, 2.3568)][:n_chains]
+        sys = spinsys.build_system(FAP, n_planes, chains, 1.4e6)
+        seq = pulses.decoupling_schedule(
+            pulses.hadamard_sign_matrix(n_planes), 6e-6)
+        U = spinsys.propagator(sys, seq).matrix
+        odd = np.array([sum(ev.target in ("broadband", p) for ev in seq.events)
+                        for p in range(n_planes)]) % 2 == 1
+        iz = sys._plane_iz
+        ends = np.where(odd, -iz, iz)  # plane Iz where each column ends
+        outside = np.any(iz[:, None, :] != ends[None, :, :], axis=2)
+        assert outside.any() and not U[outside].any()
+
+    def test_broadband_pulses_flip_every_spin_of_the_carry(self):
+        # an odd number of broadband pulses and one plane pulse: only
+        # sectors half up in planes 1 and 2 end in themselves
+        sys = spinsys.build_system(FAP, 3, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
+        seq = pulses.Sequence((
+            pulses.PulseEvent(1e-6, 0.0, math.pi, pulses.PHASE_X,
+                              "broadband"),
+            pulses.PulseEvent(2e-6, 0.0, math.pi, pulses.PHASE_Y, 0),
+        ), cycle_time=3e-6)
+        diag = spinsys.pi_cycle_diagonal(sys, seq)
+        want = np.diag(spinsys.propagator(sys, seq).matrix)
+        assert np.max(np.abs(diag - want)) <= 1e-15
+        stays = np.all(sys._plane_iz[:, 1:] == 0.0, axis=1)
+        assert np.all(diag[stays]) and not np.any(diag[~stays])
+
     def test_check_unitary_checks_every_block(self):
         rng = np.random.default_rng(3)
         A = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
