@@ -251,7 +251,7 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
         m = pulses.hadamard_sign_matrix(ss["n_planes"])
         seq = pulses.decoupling_schedule(m, seq_cfg["slot_s"])
         fid, phases = spinsys.diagonal_z_fidelity(
-            spinsys.pi_cycle_diagonal(sys, seq))
+            spinsys.propagator_entries(sys, seq, range(sys.dim)))
         summary["identity_fidelity"] = fid
         summary["identity_infidelity"] = 1.0 - fid
         summary["z_phases_rad"] = [float(p) for p in phases]
@@ -259,8 +259,8 @@ def cmd_simulate(cfg: config.RunConfig, em: _Emitter, args):
     else:
         seq, perm = pulses.compile_cnot(sys, ss["cnot_control"],
                                         ss["cnot_target"])
-        U = spinsys.propagator(sys, seq, mode="ideal")
-        fid = spinsys.gate_fidelity(U, perm)
+        fid = spinsys.gate_fidelity(
+            spinsys.propagator_entries(sys, seq, perm))
         summary["cnot_fidelity"] = fid
         summary["cnot_infidelity"] = 1.0 - fid
         summary["spectator_chains"] = sys.n_chains - 1

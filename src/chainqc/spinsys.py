@@ -26,10 +26,10 @@ eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
 reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
 A propagator applies the pulses of one instant as one step, one 2x2 product
-per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so a
-cycle of them maps each sector onto one sector; its diagonal
-(pi_cycle_diagonal) carries the sectors' columns stacked in one (d, b_max)
-array through the walk's own steps (4x3 simulate: 0.25 s, 54 MB).
+per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so U
+maps each group of equal up-counts in the planes only pi pulses reach onto
+one group; propagator_entries reads U's entries along a permutation from
+the groups' columns, carried stacked through the walk's own steps.
 A sampled (finite-width) pulse writes its drive from the same bit table;
 the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
 differ only by diagonal phases that advance by the same D each step, so the
@@ -62,7 +62,7 @@ __all__ = [
     "build_system",
     "evolve",
     "propagator",
-    "pi_cycle_diagonal",
+    "propagator_entries",
     "expectation_iz_plane",
     "cnot_permutation",
     "gate_fidelity",
@@ -167,33 +167,40 @@ class SpinSystem:
         return self._iz_table.reshape(
             self.dim, self.n_planes, self.n_chains).sum(axis=2)
 
-    def _sector_hamiltonians(self) -> list:
-        """H block by block, written from the bit table with no dense H.
-
-        Only a same-plane coupling moves Iz between spins, and it keeps the
-        pair's sum; so H conserves each plane's Iz and has no entry between
-        basis states that differ in any plane's up-count.  Those counts,
-        read as one integer in base n_chains + 1, label the sectors.
-        Sectors of equal size b are stacked: one (rows, Hb) per size, rows
-        the (n_b, b) basis indices in ascending order and
-        Hb[i] = H[rows[i]][:, rows[i]].  Hb takes H's diagonal and each
-        flip whose image stays in its sector; a same-plane flip-flop's
-        entry is exactly zero where its image would leave.  Each entry is
-        added to a zero as _bit_operator adds it, so Hb has H's bits.
-        """
-        up = (self._plane_iz + 0.5 * self.n_chains).astype(np.int64)
-        key = up @ (self.n_chains + 1) ** np.arange(self.n_planes)
+    def _groups(self, planes) -> tuple:
+        """Basis states grouped by their up-counts in ``planes``, read as
+        one key in base n_chains + 1: (key, pos, blocks), pos[k] k's place
+        in its group, blocks one (n_b, b) array of groups per size b, each
+        group's basis states ascending.  No planes: one group of all."""
+        up = (self._plane_iz[:, planes] + 0.5 * self.n_chains).astype(np.int64)
+        key = up @ (self.n_chains + 1) ** np.arange(up.shape[1])
         # not np.unique: it imports numpy.ma, a cost paid on every CLI call
         order = np.argsort(key, kind="stable")
         sizes = np.bincount(key)
         sizes = sizes[sizes > 0]  # in key order, as argsort groups them
         starts = np.cumsum(sizes) - sizes
-        pos = np.empty(self.dim, dtype=np.int64)  # place within its sector
+        pos = np.empty(self.dim, dtype=np.int64)
         pos[order] = np.arange(self.dim) - np.repeat(starts, sizes)
+        return key, pos, [order[starts[sizes == b][:, None] + np.arange(b)]
+                          for b in sorted(set(sizes.tolist()))]
+
+    def _sector_hamiltonians(self) -> list:
+        """H block by block, written from the bit table with no dense H.
+
+        Only a same-plane coupling moves Iz between spins, and it keeps the
+        pair's sum; so H conserves each plane's Iz and has no entry between
+        basis states that differ in any plane's up-count: its sectors are
+        the groups of every plane, one (rows, Hb) per size of _groups,
+        Hb[i] = H[rows[i]][:, rows[i]].  Hb takes H's diagonal and each flip
+        whose image stays in its sector; a same-plane flip-flop's entry is
+        exactly zero where its image would leave.  Each entry is added to a
+        zero as _bit_operator adds it, so Hb has H's bits.
+        """
+        key, pos, blocks = self._groups(range(self.n_planes))
         diag, flips = _bit_terms(self, *self._terms())
         out = []
-        for b in sorted(set(sizes.tolist())):
-            rows = order[starts[sizes == b][:, None] + np.arange(b)]
+        for rows in blocks:
+            b = rows.shape[1]
             Hb = np.zeros((len(rows), b, b))
             Hb[:, np.arange(b), np.arange(b)] += diag[rows]
             for m, e in flips:  # H's entries are real
@@ -348,8 +355,11 @@ class QuantumState:
 
 def _check_unitary(B: np.ndarray) -> None:
     """ConfigError unless each b x b matrix of B (shape (..., b, b)) is
-    unitary: max|B^dag B - I| <= 1e-9, NaN failing."""
-    err = np.max(np.abs(B.conj().swapaxes(-1, -2) @ B - np.eye(B.shape[-1])))
+    unitary: max|B^dag B - I| <= 1e-9, NaN failing; I taken off in place."""
+    G = B.conj().swapaxes(-1, -2) @ B
+    i = np.arange(B.shape[-1])
+    G[..., i, i] -= 1.0
+    err = np.max(np.abs(G))
     if not err <= 1e-9:
         raise ConfigError(f"propagator not unitary (deviation {err:.2e})")
 
@@ -592,44 +602,42 @@ def propagator(sys: SpinSystem, seq, mode: str = "ideal") -> Propagator:
     return Propagator(U)
 
 
-def pi_cycle_diagonal(sys: SpinSystem, seq) -> np.ndarray:
-    """diag(U) of a cycle of ideal pi pulses, all sectors carried at once.
+def propagator_entries(sys: SpinSystem, seq, perm) -> np.ndarray:
+    """U[perm[k], k] for every basis state k, U the ideal-pulse propagator.
 
-    An ideal pi pulse flips its targets' bits exactly, times a phase, and a
-    free window keeps each plane's Iz, so U sends each sector of
-    _sector_blocks onto one sector: the one of k ^ mask, mask the XOR of
-    every pulse's target bits (bit flips commute).  Different sectors'
-    columns never share a row, so they are stacked in one (d, b_max) array
-    X, column q holding column q of every sector: X[k, pos[k]] = 1 to
-    start, pos[k] k's place in its sector.  X goes through the steps of the
-    walk that propagator takes I through.  diag[k] = X[k, pos[k]] where k's
-    sector ends in itself, else 0.
-
-    Each sector's block is checked unitary, which checks U, as U is zero
-    outside the blocks.  ConfigError for a pulse other than a zero-width pi
-    pulse.
+    A plane that only pi pulses reach (its own or broadband) keeps its
+    up-count up to a turn-over, as a pi pulse flips bits exactly; every
+    other plane mixes.  So U maps each group of equal up-counts in the kept
+    planes onto the group of k ^ mask, mask the XOR of every pulse's target
+    bits.  The groups' columns never share a row, so they are stacked in
+    one (d, b_max) array X, X[k, pos[k]] = 1 to start, and X goes through
+    propagator's walk; with no kept plane X is U.  Groups of one size end
+    on groups of that size, so each group's rows of X are a block, checked
+    unitary, which checks U.  ConfigError unless perm is a permutation.
     """
-    if any(ev.duration != 0.0 or ev.flip_angle != math.pi
-           for ev in seq.events):
-        raise ConfigError("pi_cycle_diagonal takes only zero-width pi "
-                          "pulses")
-    n, k = sys.total_spins, np.arange(sys.dim)
-    pos = np.empty(sys.dim, dtype=np.int64)
-    home = np.empty(sys.dim, dtype=np.int64)  # a sector's first basis state
-    for rows, _, _ in sys._sector_blocks:
-        pos[rows] = np.arange(rows.shape[1])
-        home[rows] = rows[:, :1]
-    X = np.eye(pos.max() + 1, dtype=complex)[pos]
+    k = np.arange(sys.dim)
+    perm = np.asarray(perm)
+    if (perm.shape != k.shape or perm.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(perm), k)):
+        raise ConfigError(f"target is not a permutation of range({sys.dim})")
+    kept = [p for p in range(sys.n_planes)
+            if all(ev.flip_angle == math.pi for ev in seq.events
+                   if ev.target in ("broadband", p))]
+    key, pos, blocks = sys._groups(kept)
+    X = np.eye(blocks[-1].shape[1], dtype=complex)[pos]
     for _, step in _walk(sys, seq, "ideal", fuse=True):
         X = step(X)
     mask = 0
     for ev in seq.events:
         for s in _pulse_rotation(sys, ev)[0]:
-            mask ^= 1 << (n - 1 - s)
-    now = k ^ mask  # where column k ends
-    for rows, _, _ in sys._sector_blocks:
-        _check_unitary(X[now[rows], :rows.shape[1]])
-    return np.where(home[now] == home, X[k, pos], 0.0)
+            mask ^= 1 << (sys.total_spins - 1 - s)
+    entries = np.where(key[perm] == key[k ^ mask], X[perm, pos], 0.0)
+    X = X[np.concatenate([rows.ravel() for rows in blocks])]  # rows by group
+    ends = np.cumsum([rows.size for rows in blocks])
+    for rows, Xb in zip(blocks, np.split(X, ends[:-1])):  # views of X
+        n_b, b = rows.shape
+        _check_unitary(Xb.reshape(n_b, b, -1)[..., :b])
+    return entries
 
 
 def expectation_iz_plane(sys: SpinSystem, state: QuantumState,
@@ -652,19 +660,11 @@ def cnot_permutation(sys: SpinSystem, control: int,
     return np.arange(sys.dim) ^ (down @ flip)
 
 
-def gate_fidelity(actual: Propagator, perm) -> float:
+def gate_fidelity(entries: np.ndarray) -> float:
     """|Tr(P^dag U)| / d = |sum_k U[perm[k], k]| / d for the permutation P
-    that sends basis state k to perm[k]; invariant under global phase.
-    ConfigError unless perm is a permutation of range(d)."""
-    d = actual.dim
-    perm = np.asarray(perm)
-    hit = np.zeros(d, dtype=bool)
-    if (perm.shape == (d,) and perm.dtype.kind in "iu"
-            and np.all(perm >= 0) and np.all(perm < d)):
-        hit[perm] = True
-    if not hit.all():
-        raise ConfigError(f"target is not a permutation of range({d})")
-    return float(abs(actual.matrix[perm, np.arange(d)].sum()) / d)
+    that sends basis state k to perm[k], from the d entries
+    propagator_entries(sys, seq, perm); invariant under global phase."""
+    return float(abs(entries.sum()) / entries.shape[0])
 
 
 def diagonal_z_fidelity(U: np.ndarray):

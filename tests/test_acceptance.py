@@ -169,13 +169,14 @@ def test_criterion_8_gate_compilation():
     t0 = time.monotonic()
     iso = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
     seq, target = pulses.compile_cnot(iso, 0, 1)
-    fid_iso = spinsys.gate_fidelity(spinsys.propagator(iso, seq), target)
+    fid_iso = spinsys.gate_fidelity(
+        spinsys.propagator_entries(iso, seq, target))
 
     lam = 9.367e-10 / FAP.a
     spect = spinsys.build_system(FAP, 2, [(0.0, 0.0), (lam, 0.0)], 1.4e6)
     seq2, target2 = pulses.compile_cnot(spect, 0, 1)
-    infid = 1.0 - spinsys.gate_fidelity(spinsys.propagator(spect, seq2),
-                                        target2)
+    infid = 1.0 - spinsys.gate_fidelity(
+        spinsys.propagator_entries(spect, seq2, target2))
     sigma = lattice.sigma_over_delta(FAP).sigma_over_delta
     elapsed = time.monotonic() - t0
     ok = (fid_iso >= 1 - 1e-6 and 0.0 < infid <= 4.0 * sigma**2

@@ -496,8 +496,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("eigh did not converge")
 
-        monkeypatch.setattr(spinsys, "propagator", fail)
-        monkeypatch.setattr(spinsys, "pi_cycle_diagonal", fail)
+        monkeypatch.setattr(spinsys, "propagator_entries", fail)
         out = tmp_path / "o"
         assert run(["simulate", "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -944,6 +943,17 @@ class TestOutputs:
             tracemalloc.stop()
         assert code == 0
         assert peak < 4096 ** 2 * 8
+
+    def test_cnot_simulate_builds_no_propagator(self, tmp_path, monkeypatch):
+        # the CNOT's fidelity reads d entries of U through
+        # propagator_entries, as the decoupling cycle's does
+        def fail(*args, **kwargs):
+            raise AssertionError("spinsys.propagator called")
+        monkeypatch.setattr(spinsys, "propagator", fail)
+        cfg = write_cfg(tmp_path, _v1(spin_system={"n_planes": 3,
+                                                   "schedule": "cnot"}))
+        assert run(["simulate", "--config", cfg, "--out",
+                    str(tmp_path / "o"), "--no-meta"]) == 0
 
     def test_scalability_rows(self, tmp_path):
         cfg = write_cfg(tmp_path, {

@@ -304,6 +304,27 @@ def instant_schedules(draw, n_planes):
 
 
 @st.composite
+def partial_pi_schedules(draw, n_planes):
+    """Zero-width pulses at up to three shared instants: pi pulses on a
+    drawn set of planes and broadband, pulses of any angle on the other
+    planes.  U keeps the up-counts of the pi-only planes and mixes the rest,
+    so the entries are carried in groups of some planes only."""
+    T = draw(st.floats(1e-6, 2e-5))
+    instants = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    pi_only = draw(st.sets(st.integers(0, n_planes - 1)))
+    target = st.one_of(st.just("broadband"), st.integers(0, n_planes - 1))
+    events = []
+    for _ in range(draw(st.integers(1, 8))):
+        tgt = draw(target)
+        angle = (math.pi if tgt == "broadband" or tgt in pi_only
+                 else draw(st.floats(1e-3, 2 * math.pi)))
+        events.append(pulses.PulseEvent(
+            draw(st.sampled_from(instants)) * T, 0.0, angle,
+            draw(st.floats(0.0, 2 * math.pi)), tgt))
+    return pulses.Sequence(tuple(events), cycle_time=T)
+
+
+@st.composite
 def register_and_schedule(draw, sequences=schedules):
     sys = draw(registers())
     return sys, draw(sequences(sys.n_planes))
@@ -407,16 +428,27 @@ def test_fused_instants_match_dense(case, seed):
 
 
 @SETTINGS
-@given(st.one_of(registers(), hand_built_registers()), st.data())
-def test_pi_cycle_diagonal_matches_dense(sys, data):
-    seq = data.draw(pi_schedules(sys.n_planes))
+@given(st.one_of(registers(), hand_built_registers()),
+       st.sampled_from([pi_schedules, instant_schedules,
+                        partial_pi_schedules]), st.data())
+def test_propagator_entries_match_dense(sys, sequences, data):
+    seq = data.draw(sequences(sys.n_planes))
+    perm = data.draw(st.one_of(st.just(range(sys.dim)),
+                               st.permutations(range(sys.dim))))
     U = np.eye(sys.dim, dtype=complex)
     for _, piece in dense_walk(sys, seq):
         U = piece @ U
-    diag = spinsys.pi_cycle_diagonal(sys, seq)
-    # measured: at most 4.0e-14 over 1000 examples, the oracle's eigh
-    # round-off on phases of up to about 80 rad
-    assert np.max(np.abs(diag - np.diag(U))) <= 1e-13
+    k = np.arange(sys.dim)
+    entries = spinsys.propagator_entries(sys, seq, perm)
+    # measured over 1000 examples of each strategy: at most 2.5e-14 (pi),
+    # 1.4e-14 (any angle) and 8.7e-15 (pi on some planes), the oracle's
+    # eigh round-off on phases of up to about 80 rad
+    assert np.max(np.abs(entries - U[perm, k])) <= 1e-13
+    # against the structured propagator, which takes the same steps on all
+    # d columns at once: at most 5.0e-16, BLAS kernels rounding the
+    # narrower stacked array differently
+    fast = spinsys.propagator(sys, seq).matrix
+    assert np.max(np.abs(entries - fast[perm, k])) <= 2e-15
 
 
 @SETTINGS
@@ -440,7 +472,8 @@ def test_uncoupled_pi_cycles_are_z_rotations(n_planes, n_chains, data):
     flips = [sum(ev.target in ("broadband", p) for ev in seq.events)
              for p in range(n_planes)]
     assume(all(f % 2 == 0 for f in flips))
-    fid, _ = spinsys.diagonal_z_fidelity(spinsys.pi_cycle_diagonal(sys, seq))
+    fid, _ = spinsys.diagonal_z_fidelity(
+        spinsys.propagator_entries(sys, seq, range(sys.dim)))
     assert abs(fid - 1.0) <= 1e-14
 
 
@@ -498,10 +531,10 @@ def test_gate_fidelity_is_the_dense_trace(sys, data):
     control = data.draw(st.integers(0, sys.n_planes - 2))
     control, target = data.draw(st.sampled_from(
         [(control, control + 1), (control + 1, control)]))
-    U = spinsys.propagator(sys, seq)
-    dense = abs(np.vdot(dense_cnot(sys, control, target), U.matrix)) / sys.dim
-    fid = spinsys.gate_fidelity(
-        U, spinsys.cnot_permutation(sys, control, target))
+    U = spinsys.propagator(sys, seq).matrix
+    dense = abs(np.vdot(dense_cnot(sys, control, target), U)) / sys.dim
+    fid = spinsys.gate_fidelity(spinsys.propagator_entries(
+        sys, seq, spinsys.cnot_permutation(sys, control, target)))
     assert abs(fid - dense) <= 1e-15
 
 
@@ -516,10 +549,11 @@ def simulate_fidelities(sys, slot, control, target):
     """The two fidelities `chainqc simulate` reports: the decoupling cycle's
     identity fidelity and the compiled CNOT's gate fidelity."""
     m = pulses.hadamard_sign_matrix(sys.n_planes)
-    identity, _ = spinsys.diagonal_z_fidelity(spinsys.pi_cycle_diagonal(
-        sys, pulses.decoupling_schedule(m, slot)))
+    identity, _ = spinsys.diagonal_z_fidelity(spinsys.propagator_entries(
+        sys, pulses.decoupling_schedule(m, slot), range(sys.dim)))
     seq, perm = pulses.compile_cnot(sys, control, target)
-    return identity, spinsys.gate_fidelity(spinsys.propagator(sys, seq), perm)
+    return identity, spinsys.gate_fidelity(
+        spinsys.propagator_entries(sys, seq, perm))
 
 
 @SETTINGS
@@ -565,10 +599,11 @@ def test_chain_order_leaves_4x3_identity_fidelity_unchanged(
     positions = [(x + dx, y + dy) for (x, y), dx, dy
                  in zip(TRIANGLE, jitter[::2], jitter[1::2])]
     m = pulses.hadamard_sign_matrix(4)
-    a, b = (spinsys.diagonal_z_fidelity(spinsys.pi_cycle_diagonal(
-        spinsys.build_system(FAP, 4, pos, grad, same_plane),
-        pulses.decoupling_schedule(m, slot)))[0]
-        for pos in (positions, [positions[c] for c in order]))
+    systems = (spinsys.build_system(FAP, 4, pos, grad, same_plane)
+               for pos in (positions, [positions[c] for c in order]))
+    a, b = (spinsys.diagonal_z_fidelity(spinsys.propagator_entries(
+        sys, pulses.decoupling_schedule(m, slot), range(sys.dim)))[0]
+        for sys in systems)
     assert abs(a - b) <= 2e-15
 
 
@@ -605,7 +640,7 @@ def test_uncoupled_chains_factorize_the_cnot_fidelity(table, data):
             tuple(spinsys.Coupling(p * n + c, q * n + c, coeff)
                   for p, q, coeff in couplings for c in range(n)))
         seq, perm = pulses.compile_cnot(sys, 0, 1)
-        fid = spinsys.gate_fidelity(spinsys.propagator(sys, seq), perm)
+        fid = spinsys.gate_fidelity(spinsys.propagator_entries(sys, seq, perm))
         return fid, seq.cycle_time
 
     one, t_gate = cnot_fidelity(1)

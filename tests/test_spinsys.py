@@ -26,6 +26,11 @@ from chainqc.spinsys import (
 FAP = lattice.get_preset("fluorapatite")
 
 
+def pi_cycle_diagonal(sys, seq):
+    """diag(U) as `simulate` reads it for the decoupling cycle."""
+    return spinsys.propagator_entries(sys, seq, range(sys.dim))
+
+
 def expi(A):
     w, V = np.linalg.eigh(A)
     return (V * np.exp(1j * w)) @ V.conj().T
@@ -423,13 +428,22 @@ class TestSectorCarry:
         for rows, Hb in blocks:
             assert np.array_equal(Hb, H[rows[:, :, None], rows[:, None, :]])
 
-    def test_pi_cycle_diagonal_takes_only_ideal_pi_pulses(self):
+    def test_propagator_entries_take_only_zero_width_pulses(self):
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
-        for ev in (pulses.PulseEvent(0.0, 0.0, 0.5 * math.pi, 0.0, 0),
-                   pulses.PulseEvent(0.0, 1e-7, math.pi, 0.0, 0)):
-            seq = pulses.Sequence((ev,), cycle_time=1e-6)
-            with pytest.raises(ConfigError, match="zero-width pi pulses"):
-                spinsys.pi_cycle_diagonal(sys, seq)
+        seq = pulses.Sequence((pulses.PulseEvent(0.0, 1e-7, math.pi, 0.0, 0),),
+                              cycle_time=1e-6)
+        with pytest.raises(ConfigError, match="zero-width pulses"):
+            pi_cycle_diagonal(sys, seq)
+        # a pulse of any other angle mixes its plane: the states are grouped
+        # by plane 1's up-count only, and the entries are the dense ones
+        seq = pulses.Sequence(
+            (pulses.PulseEvent(2e-7, 0.0, 0.5 * math.pi, 0.0, 0),),
+            cycle_time=1e-6)
+        U = spinsys.propagator(sys, seq).matrix
+        perm = np.array([2, 3, 0, 1])  # plane 0 (spin 0) flipped
+        assert np.array_equal(spinsys.propagator_entries(sys, seq, perm),
+                              U[perm, np.arange(4)])
+        assert np.all(U[perm, np.arange(4)] != 0)
 
     def test_pi_cycle_diagonal_checks_each_block_unitary(self, monkeypatch):
         free_step = spinsys._free_step
@@ -438,7 +452,7 @@ class TestSectorCarry:
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
         seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(2), 6e-6)
         with pytest.raises(ConfigError, match="propagator not unitary"):
-            spinsys.pi_cycle_diagonal(sys, seq)
+            pi_cycle_diagonal(sys, seq)
 
     def test_pi_cycle_diagonal_steps_free_windows_by_free_step(
             self, monkeypatch):
@@ -452,7 +466,7 @@ class TestSectorCarry:
         monkeypatch.setattr(spinsys, "_free_step", counted)
         sys = spinsys.build_system(FAP, 3, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
         seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(3), 6e-6)
-        spinsys.pi_cycle_diagonal(sys, seq)
+        pi_cycle_diagonal(sys, seq)
         windows = [t1 - t0 for t0, t1, ev in seq.segments() if ev is None]
         assert len(windows) > 1 and taken == windows
 
@@ -467,7 +481,7 @@ class TestSectorCarry:
         monkeypatch.setattr(spinsys, "_pulse_step", counted)
         sys = spinsys.build_system(FAP, 3, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
         seq = pulses.decoupling_schedule(pulses.hadamard_sign_matrix(3), 6e-6)
-        spinsys.pi_cycle_diagonal(sys, seq)
+        pi_cycle_diagonal(sys, seq)
         instants = sorted({ev.t_start for ev in seq.events})
         assert len(instants) < len(seq.events)  # some instants fuse pulses
         assert [ev.t_start for ev, *_ in taken] == instants
@@ -494,7 +508,7 @@ class TestSectorCarry:
         sys = spinsys.build_system(FAP, n_planes, chains, 1.4e6)
         seq = pulses.decoupling_schedule(
             pulses.hadamard_sign_matrix(n_planes), 6e-6)
-        assert np.array_equal(spinsys.pi_cycle_diagonal(sys, seq),
+        assert np.array_equal(pi_cycle_diagonal(sys, seq),
                               np.diag(spinsys.propagator(sys, seq).matrix))
 
     @pytest.mark.parametrize("n_planes, n_chains", [(3, 1), (4, 2), (3, 3)])
@@ -523,11 +537,23 @@ class TestSectorCarry:
                               "broadband"),
             pulses.PulseEvent(2e-6, 0.0, math.pi, pulses.PHASE_Y, 0),
         ), cycle_time=3e-6)
-        diag = spinsys.pi_cycle_diagonal(sys, seq)
+        diag = pi_cycle_diagonal(sys, seq)
         want = np.diag(spinsys.propagator(sys, seq).matrix)
         assert np.max(np.abs(diag - want)) <= 1e-15
         stays = np.all(sys._plane_iz[:, 1:] == 0.0, axis=1)
         assert np.all(diag[stays]) and not np.any(diag[~stays])
+
+    @pytest.mark.parametrize("n_planes, n_chains", [
+        (3, 1), (8, 1), (4, 2), (3, 3)])
+    def test_cnot_entries_are_the_dense_entries(self, n_planes, n_chains):
+        # the composites touch every plane: one group, X is U, and the
+        # entries have the dense propagator's bits
+        chains = [(0.0, 0.0), (2.7214, 0.0), (1.3607, 2.3568)][:n_chains]
+        sys = spinsys.build_system(FAP, n_planes, chains, 1.4e6)
+        seq, perm = pulses.compile_cnot(sys, 0, 1)
+        U = spinsys.propagator(sys, seq).matrix
+        assert np.array_equal(spinsys.propagator_entries(sys, seq, perm),
+                              U[perm, np.arange(sys.dim)])
 
     def test_check_unitary_checks_every_block(self):
         rng = np.random.default_rng(3)
@@ -545,9 +571,9 @@ class TestSectorCarry:
         ev = pulses.PulseEvent(1e-6, 0.0, math.pi, pulses.PHASE_X, 1)
         seq = pulses.Sequence((ev,), cycle_time=2e-6)
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
-        assert not np.any(spinsys.pi_cycle_diagonal(sys, seq))
+        assert not np.any(pi_cycle_diagonal(sys, seq))
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0), (2.7214, 0.0)], 1.4e6)
-        diag = spinsys.pi_cycle_diagonal(sys, seq)
+        diag = pi_cycle_diagonal(sys, seq)
         half_up = sys._plane_iz[:, 1] == 0.0
         assert not np.any(diag[~half_up]) and np.all(diag[half_up])
 
@@ -561,7 +587,7 @@ class TestSectorCarry:
         ), cycle_time=2e-6)
         want = np.diag(spinsys.propagator(sys, seq).matrix)
         assert np.max(np.abs(want - [1j, -1j])) <= 1e-15
-        got = spinsys.pi_cycle_diagonal(sys, seq)
+        got = pi_cycle_diagonal(sys, seq)
         assert np.max(np.abs(got - want)) <= 1e-15
 
 
@@ -569,21 +595,21 @@ class TestFidelities:
     def test_gate_fidelity_phase_invariant(self):
         perm = np.array([0, 1, 3, 2])  # CNOT, control spin 0
         P = np.eye(4)[perm].T  # column k has its 1 in row perm[k]
-        a = Propagator(np.exp(1j * 0.7) * P)
-        assert spinsys.gate_fidelity(a, perm) == pytest.approx(1.0,
-                                                              abs=1e-15)
+        a = (np.exp(1j * 0.7) * P)[perm, np.arange(4)]
+        assert spinsys.gate_fidelity(a) == pytest.approx(1.0, abs=1e-15)
         # the identity matches the CNOT on its two fixed basis states
-        b = Propagator(np.exp(-1j * 2.1) * np.eye(4))
-        assert spinsys.gate_fidelity(b, perm) == pytest.approx(0.5,
-                                                              abs=1e-15)
+        b = (np.exp(-1j * 2.1) * np.eye(4))[perm, np.arange(4)]
+        assert spinsys.gate_fidelity(b) == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("perm", [
         [0, 1, 2], [0, 1, 2, 3, 0], [0, 1, 2, 2], [0, 1, 2, 4],
         [0, 1, 2, -1], [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]]])
     def test_gate_fidelity_rejects_a_non_permutation(self, perm):
-        U = Propagator(np.eye(4, dtype=complex))
+        # the permutation is checked where it is taken, by propagator_entries
+        sys = SpinSystem(2, 1, (0.0, 1e5), ())
+        seq = pulses.Sequence((), cycle_time=1e-6)
         with pytest.raises(ConfigError, match="not a permutation"):
-            spinsys.gate_fidelity(U, perm)
+            spinsys.propagator_entries(sys, seq, perm)
 
     def test_diagonal_z_fidelity(self):
         Iz0 = single_spin_op(2, 0, SZ)
