@@ -329,8 +329,8 @@ def cmd_readout(cfg: config.RunConfig, em: _Emitter, args):
         params, initial=s["initial"],
         steps_per_period=s["steps_per_period"])
     stride = max(1, len(res.times) // 4000)
-    rows = np.stack([res.times, res.iz, res.detuning],
-                    axis=1)[::stride].tolist()
+    rows = np.stack([res.times[::stride], res.iz[::stride],
+                     res.detuning[::stride]], axis=1).tolist()
     em.table("readout_cai_trace",
              ["t_s", "iz", "detuning_rad_per_s"], rows)
     cant = cfg.cantilever()

@@ -372,9 +372,11 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
         norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
 
     times = np.arange(1, n_steps + 1) * dt
-    # Fourier amplitude at omega_m over the integer number of periods.
-    phase = np.exp(-1j * params.omega_m * times)
-    amp = 2.0 * abs(np.sum(iz * phase)) / n_steps
+    # Fourier amplitude at omega_m over the integer number of periods,
+    # in one whole-trace complex array written in place.
+    phase = -1j * params.omega_m * times
+    np.exp(phase, out=phase)
+    amp = 2.0 * abs(np.sum(np.multiply(phase, iz, out=phase))) / n_steps
     return CAIResult(times=times, iz=iz, detuning=det,
                      following_figure=min(figures, default=None),
                      modulation_amplitude=amp, norm_drift=norm_drift)

@@ -17,10 +17,12 @@ pi/2 = y).  With this convention the WAHUHA cycle scales offsets along
 Spin s is bit n-1-s of the computational-basis index (bit 0 = up,
 Iz = +1/2); no other module reads that layout.  An operator that maps basis
 states to basis states, as the ideal CNOT does, leaves it as an index array
-(cnot_permutation).  H is written straight from the bit table: a diagonal of
-offsets and zz terms plus the in-plane flip-flop entries.  H conserves each
-plane's Iz, so it is block diagonal over sectors of equal per-plane
-up-counts; its blocks are written from the same terms with no dense H, and
+(cnot_permutation).  One writer, _bit_blocks, writes H, a sampled pulse's
+drive and the average Hamiltonian straight from the bit table, into the
+groups of equal up-counts in some planes; with none, its one block is the
+dense operator.  H is a diagonal of offsets and zz terms plus the in-plane
+flip-flop entries.  It conserves each plane's Iz, so its blocks over the
+groups of every plane (its sectors) are all of it, written with no dense H;
 free evolution runs block by block through one cached batched
 eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
@@ -30,13 +32,13 @@ per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so U
 maps each group of equal up-counts in the planes only pi pulses reach onto
 one group; propagator_entries reads U's entries along a permutation from
 the groups' columns, carried stacked through the walk's own steps.
-A sampled (finite-width) pulse writes its drive from the same bit table;
-the drive mixes sectors, so its W is dense.  Its sub-steps r_j W r_j^dag
-differ only by diagonal phases that advance by the same D each step, so the
-whole pulse is the sampler's own product P = r_{n-1} (W D)^(n-1) W r_0^dag,
-the bracket one operator per pulse shape (binary powering) that a state
-vector, a density matrix and a propagator all go through.  The average
-Hamiltonian keeps one 3x3 rotation per plane, written by H's writer.
+The drive of a sampled (finite-width) pulse mixes sectors, so its W is
+dense.  Its sub-steps r_j W r_j^dag differ only by diagonal phases that
+advance by the same D each step, so the whole pulse is the sampler's own
+product P = r_{n-1} (W D)^(n-1) W r_0^dag, the bracket one operator per
+pulse shape (binary powering) that a state vector, a density matrix and a
+propagator all go through.  The average Hamiltonian keeps one 3x3 rotation
+per plane.
 """
 
 from __future__ import annotations
@@ -184,41 +186,16 @@ class SpinSystem:
         return key, pos, [order[starts[sizes == b][:, None] + np.arange(b)]
                           for b in sorted(set(sizes.tolist()))]
 
-    def _sector_hamiltonians(self) -> list:
-        """H block by block, written from the bit table with no dense H.
-
-        Only a same-plane coupling moves Iz between spins, and it keeps the
-        pair's sum; so H conserves each plane's Iz and has no entry between
-        basis states that differ in any plane's up-count: its sectors are
-        the groups of every plane, one (rows, Hb) per size of _groups,
-        Hb[i] = H[rows[i]][:, rows[i]].  Hb takes H's diagonal and each flip
-        whose image stays in its sector; a same-plane flip-flop's entry is
-        exactly zero where its image would leave.  Each entry is added to a
-        zero as _bit_operator adds it, so Hb has H's bits.
-        """
-        key, pos, blocks = self._groups(range(self.n_planes))
-        diag, flips = _bit_terms(self, *self._terms())
-        out = []
-        for rows in blocks:
-            b = rows.shape[1]
-            Hb = np.zeros((len(rows), b, b))
-            Hb[:, np.arange(b), np.arange(b)] += diag[rows]
-            for m, e in flips:  # H's entries are real
-                image = rows ^ m
-                blk, col = np.nonzero(key[image] == key[rows])
-                Hb[blk, pos[image[blk, col]], col] += e.real[rows[blk, col]]
-            out.append((rows, Hb))
-        return out
-
     @functools.cached_property
     def _sector_blocks(self) -> list:
         """H's sector blocks diagonalised, computed once per system: one
         (rows, w, V) per sector size, Hb = V diag(w) V^T from one batched
-        eigh.  For b = 1 the sector's H entry is its eigenvalue and V is
-        None."""
+        eigh over _bit_blocks' groups of every plane, with no dense H.  For
+        b = 1 the sector's H entry is its eigenvalue and V is None."""
         return [(rows, Hb[:, :, 0], None) if Hb.shape[1] == 1
                 else (rows, *np.linalg.eigh(Hb))
-                for rows, Hb in self._sector_hamiltonians()]
+                for rows, Hb in _bit_blocks(self, *self._terms(),
+                                            range(self.n_planes))]
 
     def _coupling_planes(self) -> list[tuple[int, int]]:
         """(plane of i, plane of j) of each coupling."""
@@ -226,18 +203,18 @@ class SpinSystem:
                 for c in self.couplings]
 
     def _terms(self):
-        """H as _bit_operator's fields (offsets along z) and tensors."""
+        """H as _bit_blocks' fields (offsets along z) and tensors."""
         fields = np.outer(self.offsets, [0.0, 0.0, 1.0])
         return fields, [c.coeff * _TENSOR[p == q] for c, (p, q)
                         in zip(self.couplings, self._coupling_planes())]
 
     def hamiltonian(self) -> np.ndarray:
         """Internal Hamiltonian (rad/s) in the plane-0 rotating frame,
-        written by _bit_operator from _terms(): real symmetric, offsets and
+        _bit_blocks' one block from _terms(): real symmetric, offsets and
         c Iz_i Iz_j on the diagonal, and -c/4 between the basis states that
         swap the unequal bits of a same-plane pair (its flip-flop).
         """
-        return _bit_operator(self, *self._terms())
+        return _bit_blocks(self, *self._terms())[0][1][0]
 
 
 def _bit_terms(sys: SpinSystem, fields, tensors):
@@ -271,16 +248,33 @@ def _bit_terms(sys: SpinSystem, fields, tensors):
     return diag, flips
 
 
-def _bit_operator(sys: SpinSystem, fields, tensors) -> np.ndarray:
-    """_bit_terms scattered into a dense d x d array: real when every entry
-    is, as for H."""
+def _bit_blocks(sys: SpinSystem, fields, tensors, planes=()) -> list:
+    """_bit_terms scattered into the groups of sys._groups(planes): one
+    (rows, Ob) per group size, Ob[i] = O[rows[i]][:, rows[i]], real when
+    every entry is, as for H.  With no planes the one group is every basis
+    state in order, and Ob[0] is the dense d x d operator O.
+
+    Each position sums its entries from zero in term order, so a block has
+    the dense operator's bits; an entry whose image leaves its group is
+    dropped.  For H, grouped by every plane, that is exact: only a
+    same-plane coupling moves Iz between spins, and it keeps the pair's
+    sum, so a same-plane flip-flop's entry is exactly 0 wherever its image
+    would leave a sector.
+    """
+    key, pos, blocks = sys._groups(planes)
     diag, flips = _bit_terms(sys, fields, tensors)
-    k = np.arange(sys.dim)
     real = not any(np.any(e.imag) for _, e in flips)
-    H = np.zeros((sys.dim, sys.dim), dtype=float if real else complex)
-    for m, e in [(0, diag), *flips]:
-        H[k ^ m, k] += e.real if real else e
-    return H
+    out = []
+    for rows in blocks:
+        b = rows.shape[1]
+        Ob = np.zeros((len(rows), b, b), dtype=float if real else complex)
+        for m, e in [(0, diag), *flips]:
+            image = rows ^ m
+            blk, col = np.nonzero(key[image] == key[rows])
+            Ob[blk, pos[image[blk, col]], col] += (
+                e.real if real else e)[rows[blk, col]]
+        out.append((rows, Ob))
+    return out
 
 
 class QuantumState:
@@ -524,7 +518,7 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
             fields, tensors = sys._terms()
             fields[:, 0] = -w1  # H - w1 Fx
             W = cache[(w1, dt)] = _expm_real_sym(
-                _bit_operator(sys, fields, tensors), dt)
+                _bit_blocks(sys, fields, tensors)[0][1][0], dt)
         D = np.exp(1j * wd * dt * fz)
         P = cache[pulse_shape] = (
             np.linalg.matrix_power(W * D, n_steps - 1) @ W)
@@ -697,10 +691,11 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
 
     Hbar = (1/T) sum_w tau_w U_w^dag H U_w, U_w the pulses before window w.
     An ideal pulse rotates all spins of a plane alike, so U_w^dag I^a U_w =
-    sum_b R_p(w)[a, b] I^b, and Hbar is written like H, by _bit_operator,
-    from plane fields w_p sum_w (tau_w/T) R_p^T e_z and, for a coupling
-    c D between planes p and q (D by p == q, as in H), c G[p, q] with
-    G[p, q] = sum_w (tau_w/T) R_p^T D R_q: one contraction over windows.
+    sum_b R_p(w)[a, b] I^b, and Hbar is written like H, _bit_blocks' one
+    block, from plane fields w_p sum_w (tau_w/T) R_p^T e_z and, for a
+    coupling c D between planes p and q (D by p == q, as in H), c G[p, q]
+    with G[p, q] = sum_w (tau_w/T) R_p^T D R_q: one contraction over
+    windows.
     """
     T = seq.cycle_time
     if T <= 0:
@@ -723,6 +718,6 @@ def average_hamiltonian_0(sys: SpinSystem, seq) -> np.ndarray:
     fields = np.einsum("w,p,wpb->pb", tau, sys.offsets, R[:, :, 2])
     G = {same: np.einsum("w,wpai,ab,wqbj->pqij", tau, R, D, R, optimize=True)
          for same, D in _TENSOR.items()}
-    return _bit_operator(sys, fields, [
+    return _bit_blocks(sys, fields, [
         c.coeff * G[p == q][p, q]
-        for c, (p, q) in zip(sys.couplings, sys._coupling_planes())])
+        for c, (p, q) in zip(sys.couplings, sys._coupling_planes())])[0][1][0]

@@ -423,10 +423,14 @@ class TestSectorCarry:
         def fail(self):
             raise AssertionError("dense H built")
         monkeypatch.setattr(SpinSystem, "hamiltonian", fail)
-        blocks = sys._sector_hamiltonians()
-        H = spinsys._bit_operator(sys, *sys._terms())
+        blocks = spinsys._bit_blocks(sys, *sys._terms(), range(n_planes))
+        [(_, (H,))] = spinsys._bit_blocks(sys, *sys._terms())
+        scattered = np.zeros_like(H)
         for rows, Hb in blocks:
             assert np.array_equal(Hb, H[rows[:, :, None], rows[:, None, :]])
+            scattered[rows[:, :, None], rows[:, None, :]] = Hb
+        # the writer drops only exact zeros: nothing of H is outside a block
+        assert np.array_equal(scattered, H)
 
     def test_propagator_entries_take_only_zero_width_pulses(self):
         sys = spinsys.build_system(FAP, 2, [(0.0, 0.0)], 1.4e6)
