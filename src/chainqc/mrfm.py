@@ -13,8 +13,6 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, KB, TWO_PI
@@ -44,9 +42,14 @@ __all__ = [
 # Largest CAI trace (three float arrays, 240 MB); the default readout takes
 # 32 000 steps.
 MAX_CAI_STEPS = 10**7
-# Steps per block of the CAI trace: one block's per-step coefficient lists
-# hold a few MB, so the cap's trace arrays dominate its memory.
+# Steps per block of the CAI trace: one block's step coefficients and
+# prefix products hold a few MB, so the cap's trace arrays dominate its
+# memory.
 _CAI_BLOCK = 2**16
+# Steps per sub-block of the CAI scan: a Python loop of this length runs
+# across each block's sub-blocks, and one over the sub-blocks carries the
+# state; the square root of _CAI_BLOCK makes the two loops equally long.
+_CAI_SUB = 256
 
 
 @dataclass(frozen=True)
@@ -292,10 +295,11 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
     <Iz> sign matches ``initial`` (the turn-on at peak detuning models the
     adiabatic half passage that locks the thermal magnetization to the
     effective field).  Each step is the exact SU(2) propagator of H at its
-    midpoint, applied to the amplitudes (p, q) as two Python complex scalars;
-    the step coefficients are built as arrays, block by block, with each
-    transcendental taken element by element from math, so every number has
-    the bits of the scalar expression.
+    midpoint.  The steps run as a two-level scan, block by block: within a
+    sub-block of _CAI_SUB steps each prefix product comes from one
+    vectorised loop over the positions, and the state (p, q) is carried
+    across the sub-block totals as two Python complex scalars, so round-off
+    grows with the number of sub-blocks rather than of steps.
     The adiabatic-following figure compares |<Iz>(t)| against the locked-spin
     prediction (1/2)|Delta|/sqrt(Delta^2+omega_1^2) where it exceeds 0.1,
     and is None where it never does.
@@ -332,68 +336,65 @@ def simulate_cai_readout(params: CAIParams, initial: str = "up",
 
     iz = np.empty(n_steps)
     det = np.empty(n_steps)
+    times = np.arange(1, n_steps + 1) * dt
     norm_drift = 0.0
     figures = []  # each block's min |<Iz>| / prediction
+    amp_re, amp_im = [], []  # each block's Fourier sum, real and imaginary
     for k0 in range(0, n_steps, _CAI_BLOCK):
         k1 = min(k0 + _CAI_BLOCK, n_steps)
-        k = np.arange(k0, k1)
-        delta = Om * _by_element(math.cos, params.omega_m * ((k + 0.5) * dt))
+        n_sub = -(-(k1 - k0) // _CAI_SUB)
+        # the block's steps padded to whole sub-blocks, as a grid whose
+        # column i is sub-block i and whose row j is step j of each
+        k = k0 + np.arange(n_sub * _CAI_SUB).reshape(n_sub, _CAI_SUB).T
+        delta = Om * np.cos(params.omega_m * ((k + 0.5) * dt))
         # exp(-i H dt) for H = -(delta Iz + w1 Ix) = v . sigma/2
         vx, vz = -w1, -delta
-        nv = _by_element(partial(math.hypot, vx), vz)
+        nv = np.hypot(vx, vz)
         th = 0.5 * nv * dt
-        c, s = _by_element(math.cos, th), _by_element(math.sin, th)
+        c, s = np.cos(th), np.sin(th)
         # a zero field (w1 and delta underflowed to 0) is the identity step
         moving = nv != 0.0
         ux = np.divide(vx, nv, out=np.zeros_like(nv), where=moving)
         uz = np.divide(vz, nv, out=np.zeros_like(nv), where=moving)
-        # U = c*I - i*s*(ux*sigma_x + uz*sigma_z)
-        a = c - 1j * s * uz
-        b = -1j * s * ux
-        ps, qs = [], []
-        for ak, bk, ack in zip(a.tolist(), b.tolist(), a.conj().tolist()):
-            p, q = ak * p + bk * q, bk * p + ack * q
-            ps.append(p)
-            qs.append(q)
-        iz[k0:k1] = 0.5 * (_abs_squared(ps) - _abs_squared(qs))
-        d = det[k0:k1] = Om * _by_element(math.cos,
-                                          params.omega_m * ((k + 1) * dt))
+        # U = c*I - i*s*(ux*sigma_x + uz*sigma_z) = [[a, b], [-b*, a*]];
+        # a padding step is the identity
+        pad = k >= k1
+        a = np.where(pad, 1.0, c - 1j * s * uz)
+        b = np.where(pad, 0.0, -1j * s * ux)
+        # row by row, (a, b) becomes each sub-block's prefix product
+        # U_j ... U_0 = [[a, b], [-b*, a*]]
+        for j in range(1, _CAI_SUB):
+            a_j, b_j, a_p, b_p = a[j], b[j], a[j - 1], b[j - 1]
+            a[j], b[j] = (a_j * a_p - b_j * b_p.conj(),
+                          a_j * b_p + b_j * a_p.conj())
+        # each sub-block's start state, carried through the sub-block
+        # totals as two Python complex scalars
+        p0, q0 = [], []
+        for a_n, b_n in zip(a[-1].tolist(), b[-1].tolist()):
+            p0.append(p)
+            q0.append(q)
+            p, q = a_n * p + b_n * q, a_n.conjugate() * q - b_n.conjugate() * p
+        p0, q0 = np.array(p0), np.array(q0)
+        ps = (a * p0 + b * q0).T.ravel()[:k1 - k0]
+        qs = (a.conj() * q0 - b.conj() * p0).T.ravel()[:k1 - k0]
+        pp = ps.real * ps.real + ps.imag * ps.imag
+        qq = qs.real * qs.real + qs.imag * qs.imag
+        iz_blk = iz[k0:k1] = 0.5 * (pp - qq)
+        norm_drift = max(norm_drift,
+                         float(np.max(np.abs(np.sqrt(pp + qq) - 1.0))))
+        d = det[k0:k1] = Om * np.cos(params.omega_m * times[k0:k1])
         field = np.hypot(d, w1)
         pred = np.divide(0.5 * np.abs(d), field, out=np.zeros_like(field),
                          where=field != 0.0)
         mask = pred > 0.1
         if mask.any():
-            figures.append(
-                float(np.min(np.abs(iz[k0:k1][mask]) / pred[mask])))
-        # grouped as np.linalg.norm groups it: real parts, then imaginary
-        pa, qa = np.array(ps, complex), np.array(qs, complex)
-        norm = np.sqrt((pa.real * pa.real + qa.real * qa.real)
-                       + (pa.imag * pa.imag + qa.imag * qa.imag))
-        norm_drift = max(norm_drift, float(np.max(np.abs(norm - 1.0))))
+            figures.append(float(np.min(np.abs(iz_blk[mask]) / pred[mask])))
+        # Fourier amplitude at omega_m over the integer number of periods
+        part = np.sum(np.exp(-1j * params.omega_m * times[k0:k1]) * iz_blk)
+        amp_re.append(part.real)
+        amp_im.append(part.imag)
 
-    times = np.arange(1, n_steps + 1) * dt
-    # Fourier amplitude at omega_m over the integer number of periods,
-    # in one whole-trace complex array written in place.
-    phase = -1j * params.omega_m * times
-    np.exp(phase, out=phase)
-    amp = 2.0 * abs(np.sum(np.multiply(phase, iz, out=phase))) / n_steps
+    amp = 2.0 * abs(complex(math.fsum(amp_re), math.fsum(amp_im))) / n_steps
     return CAIResult(times=times, iz=iz, detuning=det,
                      following_figure=min(figures, default=None),
                      modulation_amplitude=amp, norm_drift=norm_drift)
-
-
-def _by_element(f, x: np.ndarray) -> np.ndarray:
-    """A math function applied to each element of x: numpy's cos, sin and
-    hypot differ from math's in the last bit."""
-    import numpy as np
-
-    return np.fromiter(map(f, x.tolist()), float, len(x))
-
-
-def _abs_squared(zs: list[complex]) -> np.ndarray:
-    """abs(z)**2 of Python complex numbers, which np.abs and numpy's
-    square do not reproduce bit for bit."""
-    import numpy as np
-
-    return np.fromiter(map(math.pow, map(abs, zs), repeat(2.0)), float,
-                       len(zs))

@@ -3,8 +3,9 @@ golden-output reports."""
 
 from hypothesis import settings
 
-# The dense-oracle properties (tests/test_dense_oracle.py) run 25 examples
-# each in tier-1; ``--hypothesis-profile=oracle-deep`` runs 300.
+# The dense-oracle properties (tests/test_dense_oracle.py) and the CAI
+# scan's (tests/test_mrfm.py) run 25 examples each in tier-1;
+# ``--hypothesis-profile=oracle-deep`` runs 300.
 settings.register_profile("oracle-deep", max_examples=300, deadline=None)
 # The command fuzz (tests/test_cli.py) draws cheap sizes in tier-1;
 # ``--hypothesis-profile=cli-deep`` draws the full ranges, 1500 examples.

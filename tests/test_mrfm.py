@@ -1,10 +1,12 @@
 """Readout force, scalability curves, and adiabatic-inversion simulation."""
 
+import functools
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainqc.constants import HBAR, KB, TWO_PI
 from chainqc.errors import ConfigError, ConvergenceError
@@ -300,39 +302,102 @@ assert 0.1 / math.hypot(_FAST.omega_1, _FAST.excursion) < (
     TWO_PI / _FAST.omega_m / 100)
 
 
-@pytest.mark.parametrize("params, initial, steps_per_period", [
-    (_DEFAULT_CAI, "up", 4000),
-    (_DEFAULT_CAI, "down", 4000),
-    (replace(_DEFAULT_CAI, b1=0.0), "up", 4000),
-    (cai_params(adiabaticity=2.0), "up", 4000),
-    (cai_params(adiabaticity=20.0), "down", 4000),
-    (cai_params(periods=1), "up", 100),
-    (_FAST, "up", 100),
-], ids=["default-up", "default-down", "b1-zero", "adiabaticity-2",
-        "adiabaticity-20", "100-steps-1-period", "dt-from-w-eff"])
-def test_cai_matches_stepwise_oracle_exactly(params, initial,
-                                             steps_per_period):
+# The scan multiplies the steps in another order than the oracle's loop,
+# so the two agree to round-off.  Largest deviations measured over the
+# oracle cases below, with _CAI_SUB of 1, 3 and 256 and _CAI_BLOCK of 997
+# and 2^16 (numpy 2.4, x86-64): iz 3.1e-14, following figure 4.6e-14,
+# amplitude 1.6e-14, norm drift 1.7e-14, detuning bit-equal.  Each bound
+# is about three times the largest; the detuning's allows numpy's cos one
+# last-bit difference from math's.
+_CAI_BOUNDS = {"iz": 1e-13, "following_figure": 1.5e-13,
+               "modulation_amplitude": 5e-14, "norm_drift": 5e-14}
+
+
+def assert_cai_near_oracle(got, ref, params):
+    assert np.array_equal(got.times, ref.times)
+    assert np.max(np.abs(got.detuning - ref.detuning)) <= (
+        2 * np.spacing(params.excursion))
+    assert np.max(np.abs(got.iz - ref.iz)) <= _CAI_BOUNDS["iz"]
+    if ref.following_figure is None:
+        assert got.following_figure is None
+    else:
+        assert abs(got.following_figure - ref.following_figure) <= (
+            _CAI_BOUNDS["following_figure"])
+    for name in ("modulation_amplitude", "norm_drift"):
+        assert abs(getattr(got, name) - getattr(ref, name)) <= (
+            _CAI_BOUNDS[name]), name
+
+
+_oracle = functools.cache(stepwise_cai_readout)
+
+_CAI_CASES = [
+    ("default-up", (_DEFAULT_CAI, "up", 4000)),
+    ("default-down", (_DEFAULT_CAI, "down", 4000)),
+    ("b1-zero", (replace(_DEFAULT_CAI, b1=0.0), "up", 4000)),
+    ("adiabaticity-2", (cai_params(adiabaticity=2.0), "up", 4000)),
+    ("adiabaticity-20", (cai_params(adiabaticity=20.0), "down", 4000)),
+    ("100-steps-1-period", (cai_params(periods=1), "up", 100)),
+    ("dt-from-w-eff", (_FAST, "up", 100)),
+]
+# 769 steps: three whole sub-blocks of 256 (or 256 of 3) and one step, so
+# the scan pads the last sub-block with identity steps
+_PADDED = ("last-sub-block-padded", (cai_params(adiabaticity=2.0, periods=1),
+                                     "up", 769))
+
+
+def cai_grid(cases):
+    """Each case at each patched _CAI_SUB; the default keeps the case id."""
+    return [pytest.param(*case, sub, id=name if sub == mrfm._CAI_SUB
+                         else f"{name}-sub-{sub}")
+            for name, case in cases for sub in (1, 3, mrfm._CAI_SUB)]
+
+
+def test_padded_case_ends_one_step_into_a_sub_block():
+    params, initial, steps_per_period = _PADDED[1]
     got = mrfm.simulate_cai_readout(params, initial, steps_per_period)
-    ref = stepwise_cai_readout(params, initial, steps_per_period)
-    for name in ("times", "iz", "detuning"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    for name in ("following_figure", "modulation_amplitude", "norm_drift"):
-        assert getattr(got, name) == getattr(ref, name), name
+    assert len(got.times) % mrfm._CAI_SUB == 1
+    assert len(got.times) % 3 == 1
 
 
-_ORACLE_CASES = test_cai_matches_stepwise_oracle_exactly.pytestmark[0]
+@pytest.mark.parametrize("params, initial, steps_per_period, sub",
+                         cai_grid(_CAI_CASES + [_PADDED]))
+def test_cai_matches_stepwise_oracle_exactly(monkeypatch, params, initial,
+                                             steps_per_period, sub):
+    monkeypatch.setattr(mrfm, "_CAI_SUB", sub)
+    got = mrfm.simulate_cai_readout(params, initial, steps_per_period)
+    assert_cai_near_oracle(got, _oracle(params, initial, steps_per_period),
+                           params)
 
 
-@pytest.mark.parametrize(*_ORACLE_CASES.args, **_ORACLE_CASES.kwargs)
+@pytest.mark.parametrize("params, initial, steps_per_period, sub",
+                         cai_grid(_CAI_CASES))
 def test_cai_blocks_match_stepwise_oracle_exactly(monkeypatch, params,
-                                                  initial, steps_per_period):
+                                                  initial, steps_per_period,
+                                                  sub):
     # The oracle's cases in blocks of 997 steps: each crosses block
-    # boundaries, so p, q and norm_drift must carry from block to block.
+    # boundaries that do not fall on sub-block boundaries, so p, q and
+    # norm_drift must carry from block to block through padded sub-blocks.
     monkeypatch.setattr(mrfm, "_CAI_BLOCK", 997)
+    monkeypatch.setattr(mrfm, "_CAI_SUB", sub)
     got = mrfm.simulate_cai_readout(params, initial, steps_per_period)
     assert len(got.times) > 2 * mrfm._CAI_BLOCK
-    test_cai_matches_stepwise_oracle_exactly(params, initial,
-                                             steps_per_period)
+    assert_cai_near_oracle(got, _oracle(params, initial, steps_per_period),
+                           params)
+
+
+@settings(settings.get_profile("oracle-deep")
+          if settings.get_current_profile_name() == "oracle-deep"
+          else settings(max_examples=25, deadline=None))
+@given(adiabaticity=st.floats(1.0, 20.0), ratio=st.floats(0.5, 4.0),
+       periods=st.integers(1, 3), initial=st.sampled_from(["up", "down"]),
+       steps_per_period=st.integers(100, 400))
+def test_cai_near_stepwise_oracle(adiabaticity, ratio, periods, initial,
+                                  steps_per_period):
+    params = cai_params(adiabaticity=adiabaticity, ratio=ratio,
+                        periods=periods)
+    got = mrfm.simulate_cai_readout(params, initial, steps_per_period)
+    assert_cai_near_oracle(
+        got, stepwise_cai_readout(params, initial, steps_per_period), params)
 
 
 class TestCAI:
