@@ -10,12 +10,17 @@ error or numerical failure.
 Each command imports the model modules it runs inside its own function, so
 a process pays at start-up only for those; numpy loads only with a model
 that computes arrays, never for `schedule` or `scalability`.
+
+`python -m chainqc.cli` and the installed `chainqc` script both run
+`entry`, which freezes the collector before the interpreter exits, so the
+exit-time collection does not walk the objects numpy's import made.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import sys as _sys
 from pathlib import Path
@@ -25,7 +30,7 @@ from .constants import TWO_PI
 from .errors import (ConfigError, ConvergenceError, SequenceValidationError,
                      canonical_json)
 
-__all__ = ["main"]
+__all__ = ["entry", "main"]
 
 
 class _Emitter:
@@ -424,5 +429,19 @@ def _numerical_errors() -> tuple[type[Exception], ...]:
     return ConvergenceError, ArithmeticError, linalg.LinAlgError
 
 
+def entry():
+    """Process entry: run main() and exit with its code.  However main()
+    ends (a code, argparse's SystemExit or a traceback), gc.freeze() first
+    moves every tracked object to the permanent generation, which the
+    interpreter's exit-time collection skips; the OS reclaims the heap.
+    atexit hooks and the stdio flush still run.  main() never freezes, so
+    a caller in the same process keeps a normal collector."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

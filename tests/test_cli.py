@@ -4,10 +4,12 @@ Byte identity across reruns and thread counts is acceptance criterion 11.
 """
 
 import csv
+import gc
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -314,6 +316,12 @@ class TestImports:
         assert not isinstance(seq.events[0], tuple)
 
 
+# A π pulse wider than τ: the schedule fails validation and exits 3.
+_WIDE_PI_PULSE = {"schema_version": 1,
+                  "sequence": {"tau_s": 1e-6, "slot_s": 6e-6,
+                               "pi_width_s": 1.5e-6}}
+
+
 class TestExitCodes:
     def test_malformed_config_exits_2_no_outputs(self, tmp_path):
         cfg = write_cfg(tmp_path, {"schema_version": 1, "nope": 1})
@@ -363,11 +371,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_wide_pi_pulse_exits_3(self, tmp_path):
-        cfg = write_cfg(tmp_path, {
-            "schema_version": 1,
-            "sequence": {"tau_s": 1e-6, "slot_s": 6e-6,
-                         "pi_width_s": 1.5e-6},
-        })
+        cfg = write_cfg(tmp_path, _WIDE_PI_PULSE)
         assert run(["schedule", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 3
 
@@ -748,6 +752,102 @@ class TestExitCodes:
         })
         assert run(["scalability", "--config", cfg,
                     "--out", str(tmp_path / "o")]) == 3
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+# The installed `chainqc` script's wrapper exits with the return of this
+# callable: pyproject's [project.scripts] target.
+_SCRIPT_MODULE, _SCRIPT_FUNC = re.search(
+    r'^chainqc = "([\w.]+):(\w+)"$',
+    (_ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M).groups()
+# A child that reports its collector's freeze count as it exits, entering
+# the CLI as `python -m chainqc.cli` does or as the installed script does.
+_REPORT_FREEZE = ("import atexit, gc, importlib, runpy, sys\n"
+                  "atexit.register(lambda: print('freeze count', "
+                  "gc.get_freeze_count()))\n")
+_ENTRIES = {
+    "module": "runpy.run_module('chainqc.cli', run_name='__main__')",
+    "script": (f"sys.exit(importlib.import_module({_SCRIPT_MODULE!r})."
+               f"{_SCRIPT_FUNC}())"),
+}
+# (arguments, exit code, start of the first stderr line)
+_ENTRY_CASES = {
+    "schedule-defaults": (["schedule", "--no-meta"], 0, ""),
+    "malformed-config": (["lattice", "--config", "{bad}"], 2,
+                         "config error: "),
+    "wide-pi-pulse": (["schedule", "--config", "{wide}"], 3,
+                      "validation error: "),
+    "unknown-command": (["nope"], 2, "usage: chainqc"),
+    "version": (["--version"], 0, ""),
+}
+
+
+def _child(code, args, **kw):
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=str(_ROOT / "src")),
+                          capture_output=True, text=True, **kw)
+
+
+def _first_line(text):
+    return text.splitlines()[0] if text else ""
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestProcessEntry:
+    """Both process entries freeze the collector before the interpreter
+    exits; cli.main never does."""
+
+    @pytest.mark.parametrize("entry", sorted(_ENTRIES))
+    @pytest.mark.parametrize("case", list(_ENTRY_CASES))
+    def test_entry_freezes_before_exit(self, tmp_path, capsys, entry, case):
+        args, code, err_start = _ENTRY_CASES[case]
+        cfgs = {"bad": write_cfg(tmp_path, {"schema_version": 1, "nope": 1},
+                                 "bad.json"),
+                "wide": write_cfg(tmp_path, _WIDE_PI_PULSE, "wide.json")}
+        args = [a.format(**cfgs) for a in args]
+        if args != ["--version"]:
+            args += ["--out", str(tmp_path / "out")]
+        frozen = gc.get_freeze_count()
+        try:
+            assert run(args) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        assert gc.get_freeze_count() == frozen
+        want_err = _first_line(capsys.readouterr().err)
+        assert want_err.startswith(err_start)
+        done = _child(_REPORT_FREEZE + _ENTRIES[entry], args)
+        assert done.returncode == code
+        assert _first_line(done.stderr) == want_err
+        report = done.stdout.splitlines()[-1].split()
+        assert report[:2] == ["freeze", "count"] and int(report[2]) > 0
+
+    def test_entry_freezes_after_a_traceback(self):
+        done = _child(_REPORT_FREEZE + "import chainqc.cli as cli\n"
+                      "cli.main = lambda: 1 / 0\n"
+                      "cli.entry()\n", [])
+        assert done.returncode == 1
+        assert done.stderr.splitlines()[-1].startswith("ZeroDivisionError")
+        assert int(done.stdout.split()[-1]) > 0
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_main_does_not_freeze(self, tmp_path, command):
+        frozen = gc.get_freeze_count()
+        assert run([command, "--no-meta", "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_entry_writes_what_main_writes(self, tmp_path, command, fmt):
+        # Frozen cyclic garbage is never finalised at exit, so a file whose
+        # writing waited on a finaliser would be missing or short here.
+        args = [command, "--no-meta", "--format", fmt, "--out"]
+        assert run(args + [str(tmp_path / "main")]) == 0
+        _child("import runpy\n" + _ENTRIES["module"],
+               args + [str(tmp_path / "entry")], check=True)
+        assert _files(tmp_path / "entry") == _files(tmp_path / "main")
 
 
 def _refuse_constant(name):
