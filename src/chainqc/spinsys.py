@@ -28,17 +28,21 @@ eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
 reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
 A propagator applies the pulses of one instant as one step, one 2x2 product
-per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so U
-maps each group of equal up-counts in the planes only pi pulses reach onto
-one group; propagator_entries reads U's entries along a permutation from
-the groups' columns, carried stacked through the walk's own steps.
+per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so when
+every spin's product is exactly diagonal or anti-diagonal (monomial) each
+row of U holds one entry, and the step is one gather X[k ^ mask] times one
+phase per row, with no term that the passes would add as an exact 0.  U
+then maps each group of equal up-counts in the planes only pi pulses reach
+onto one group; propagator_entries reads U's entries along a permutation
+from the groups' columns, carried stacked through the walk's own steps.
 The drive of a sampled (finite-width) pulse mixes sectors, so its W is
 dense.  Its sub-steps r_j W r_j^dag differ only by diagonal phases that
 advance by the same D each step, so the whole pulse is the sampler's own
 product P = r_{n-1} (W D)^(n-1) W r_0^dag, the bracket one operator per
-pulse shape (binary powering) that a state vector, a density matrix and a
-propagator all go through.  The average Hamiltonian keeps one 3x3 rotation
-per plane.
+pulse shape that a state vector, a density matrix and a propagator all go
+through: binary powering, or for a drive at offset 0, where D = exp(0) = I
+exactly, W^n = exp(-i (H - w1 Fx) n dt) from W's own eigendecomposition.
+The average Hamiltonian keeps one 3x3 rotation per plane.
 """
 
 from __future__ import annotations
@@ -341,9 +345,13 @@ class QuantumState:
             v = step(self.data)
             out.data = v / np.linalg.norm(v)
         else:
-            rho = step(step(self.data).conj().T).conj().T  # U rho U^dag
-            rho = 0.5 * (rho + rho.conj().T)
-            out.data = rho / np.trace(rho).real
+            # U rho U^dag = U (U rho)^dag, the dagger written contiguous;
+            # then rho + rho^dag, exactly Hermitian, scaled to unit trace
+            A = step(self.data)
+            rho = step(np.conjugate(A.T, out=np.empty_like(A)))
+            rho += rho.conj().T
+            rho *= 1.0 / np.trace(rho).real
+            out.data = rho
         return out
 
 
@@ -412,9 +420,9 @@ def build_system(lat: ChainLattice, n_planes: int, chain_positions,
     )
 
 
-def _expm_real_sym(H: np.ndarray, t: float) -> np.ndarray:
-    """exp(-i H t) for real symmetric H, as two real products."""
-    w, V = np.linalg.eigh(H)
+def _expm_real_sym(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """exp(-i H t) for real symmetric H = V diag(w) V^T, as two real
+    products."""
     return (V * np.cos(w * t)) @ V.T - 1j * ((V * np.sin(w * t)) @ V.T)
 
 
@@ -462,12 +470,36 @@ def _pulse_rotation(sys: SpinSystem, event):
 
 def _pulse_step(sys: SpinSystem, events):
     """X -> U X for the ideal pulses of one instant: on each spin they
-    touch, the 2x2 product of its rotations in time order."""
+    touch, the 2x2 product of its rotations in time order.
+
+    When every spin's product is monomial, exactly diagonal or exactly
+    anti-diagonal (a pi pulse's, or two on one spin), U maps basis state
+    k ^ mask to k times a phase: U X = ph * X[k ^ mask], one gather, mask
+    the XOR of the anti-diagonal spins' bits and ph[k] the product of each
+    spin's one entry r[b, b ^ flip] in row k.  Otherwise one 2x2 pass per
+    spin.
+    """
     rot = {}
     for ev in events:
         spins, r = _pulse_rotation(sys, ev)
         for s in spins:
             rot[s] = r @ rot[s] if s in rot else r
+    flip = {s: int(r[0, 0] == 0 and r[1, 1] == 0) for s, r in rot.items()}
+    if all(flip[s] or r[0, 1] == 0 and r[1, 0] == 0 for s, r in rot.items()):
+        k = np.arange(sys.dim)
+        mask, ph = 0, np.ones(sys.dim, dtype=complex)
+        for s, r in rot.items():
+            shift = sys.total_spins - 1 - s
+            b = (k >> shift) & 1
+            ph *= r[b, b ^ flip[s]]
+            mask |= flip[s] << shift
+        src, ph = k ^ mask, ph[:, None]
+
+        def step(X):
+            Y = X.reshape(sys.dim, -1)[src]
+            Y *= ph
+            return Y.reshape(X.shape)
+        return step
 
     def step(X):
         shape = X.shape
@@ -488,9 +520,13 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     exp(-i (H + Hd(ph_j)) dt) = r_j W r_j^dag with W = exp(-i (H - w1 Fx) dt).
     The phases step by wd dt, so r_j^dag r_{j-1} = D = exp(+i wd dt Fz) and
     the product of all n sub-steps is P = r_{n-1} (W D)^(n-1) W r_0^dag.
+    For wd = 0 (broadband, or a plane at offset 0) D = exp(0) = I exactly,
+    and the bracket is W^n = exp(-i (H - w1 Fx) n dt), taken from W's own
+    eigendecomposition with no product of W.
 
-    ``cache`` belongs to one walk: W per (w1, dt), and the bracket
-    (W D)^(n-1) W per pulse shape (w1, dt, wd, n) for every operand.
+    ``cache`` belongs to one walk: the eigendecomposition of H - w1 Fx per
+    w1, W per (w1, dt), and the bracket per pulse shape (w1, dt, wd, n) for
+    every operand.
     """
     where = (f"finite pulse at t = {event.t_start:.6g} s, "
              f"width {event.duration:.3g} s")
@@ -513,15 +549,21 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
     pulse_shape = (w1, dt, wd, n_steps)
     P = cache.get(pulse_shape)
     if P is None:
-        W = cache.get((w1, dt))
-        if W is None:
+        eig = cache.get(w1)
+        if eig is None:
             fields, tensors = sys._terms()
             fields[:, 0] = -w1  # H - w1 Fx
-            W = cache[(w1, dt)] = _expm_real_sym(
-                _bit_blocks(sys, fields, tensors)[0][1][0], dt)
-        D = np.exp(1j * wd * dt * fz)
-        P = cache[pulse_shape] = (
-            np.linalg.matrix_power(W * D, n_steps - 1) @ W)
+            eig = cache[w1] = np.linalg.eigh(
+                _bit_blocks(sys, fields, tensors)[0][1][0])
+        if wd == 0.0:
+            P = _expm_real_sym(*eig, n_steps * dt)
+        else:
+            W = cache.get((w1, dt))
+            if W is None:
+                W = cache[(w1, dt)] = _expm_real_sym(*eig, dt)
+            D = np.exp(1j * wd * dt * fz)
+            P = np.linalg.matrix_power(W * D, n_steps - 1) @ W
+        cache[pulse_shape] = P
 
     def phase(j):  # r_j at sub-step j's midpoint drive phase
         ph = wd * (event.t_start + (j + 0.5) * dt) + event.phase

@@ -5,7 +5,8 @@ single- and two-spin operators, one eigendecomposition per free window and
 per pulse, a finite pulse sampled with one eigendecomposition of H + Hd per
 sub-step, the average Hamiltonian in a dense toggling frame, and the CNOT
 target as a product of projectors with the fidelity as a dense trace.  It is kept here only as a reference for
-registers of up to 8 spins.
+registers of up to 8 spins.  An instant of pi pulses, applied as one
+gather, is checked against the per-spin 2x2 passes that it replaced.
 
 The last four properties are metamorphic relations between two runs of
 the structured core, which need no oracle.
@@ -325,6 +326,22 @@ def partial_pi_schedules(draw, n_planes):
 
 
 @st.composite
+def pi_instants(draw, n_planes):
+    """The zero-width pulses of one instant: pi pulses at any phase on
+    drawn planes and broadband, so a spin may get two (an exactly diagonal
+    product), and in half the draws a pi/2 pulse as well, which leaves the
+    instant not monomial."""
+    target = st.one_of(st.just("broadband"), st.integers(0, n_planes - 1))
+    phase = st.floats(0.0, 2 * math.pi)
+    events = [pulses.PulseEvent(0.0, 0.0, math.pi, draw(phase), draw(target))
+              for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        events.insert(draw(st.integers(0, len(events))), pulses.PulseEvent(
+            0.0, 0.0, math.pi / 2, draw(phase), draw(target)))
+    return events
+
+
+@st.composite
 def register_and_schedule(draw, sequences=schedules):
     sys = draw(registers())
     return sys, draw(sequences(sys.n_planes))
@@ -541,6 +558,43 @@ def test_gate_fidelity_is_the_dense_trace(sys, data):
     fid = spinsys.gate_fidelity(spinsys.propagator_entries(
         sys, seq, spinsys.cnot_permutation(sys, control, target)))
     assert abs(fid - dense) <= 1e-15
+
+
+def pulse_passes(sys, events, X):
+    """U X for the pulses of one instant as one 2x2 pass over X per spin,
+    each spin's 2x2 the product of its rotations in time order: the
+    reference for a monomial instant's one gather."""
+    rot = {}
+    for ev in events:
+        spins, r = spinsys._pulse_rotation(sys, ev)
+        for s in spins:
+            rot[s] = r @ rot[s] if s in rot else r
+    shape = X.shape
+    for s, r in rot.items():
+        X = (r @ X.reshape(1 << s, 2, -1)).reshape(shape)
+    return X
+
+
+@SETTINGS
+@given(registers(), st.data(), st.integers(0, 2**32 - 1))
+def test_pulse_instant_is_the_per_spin_passes(sys, data, seed):
+    events = data.draw(pi_instants(sys.n_planes))
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((sys.dim, 3)) + 1j * rng.standard_normal(
+        (sys.dim, 3))
+    step = spinsys._pulse_step(sys, events)
+    for X in (random_pure(rng, sys.dim), block,
+              random_density(rng, sys.dim)):
+        fast, ref = step(X), pulse_passes(sys, events, X)
+        assert fast.shape == X.shape
+        if all(ev.flip_angle == math.pi for ev in events):
+            # one phase product per row against one rounded product per
+            # pass: up to 8 spins, each complex product off by at most
+            # sqrt(5) 2^-53 on either side, is 16 sqrt(5) 2^-53 = 4.0e-15
+            # of max |X|; measured at most 7.2e-16 over 9000 operands
+            assert np.max(np.abs(fast - ref)) <= 4e-15 * np.max(np.abs(X))
+        else:  # not monomial: the passes themselves
+            assert np.array_equal(fast, ref)
 
 
 # --- metamorphic relations -------------------------------------------------
