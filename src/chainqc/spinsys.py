@@ -28,13 +28,16 @@ eigendecomposition per sector size (none for one-state sectors).  An ideal
 pulse is a 2x2 rotation applied to each target spin's axis of the state
 reshaped to (2,)*n; it maps between sectors, so it acts on the full array.
 A propagator applies the pulses of one instant as one step, one 2x2 product
-per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, so when
-every spin's product is exactly diagonal or anti-diagonal (monomial) each
-row of U holds one entry, and the step is one gather X[k ^ mask] times one
-phase per row, with no term that the passes would add as an exact 0.  U
-then maps each group of equal up-counts in the planes only pi pulses reach
-onto one group; propagator_entries reads U's entries along a permutation
-from the groups' columns, carried stacked through the walk's own steps.
+per touched spin.  A pi pulse's 2x2 has an exactly zero diagonal, and a
+z-rotation composite X(pi/2) Y(alpha) X(-pi/2) is written as its exact
+product, diag(e^{i alpha/2}, e^{-i alpha/2}).  So when every spin's product
+is exactly diagonal or anti-diagonal (monomial) each row of U holds one
+entry, and the step is one gather X[k ^ mask] times one phase per row, with
+no term that the passes would add as an exact 0.  U then maps each group
+of equal up-counts in the planes whose every instant is monomial onto one
+group (for a CNOT, every plane but the target); propagator_entries reads
+U's entries along a permutation from the groups' columns, carried stacked
+through the walk's own steps.
 The drive of a sampled (finite-width) pulse mixes sectors, so its W is
 dense.  Its sub-steps r_j W r_j^dag differ only by diagonal phases that
 advance by the same D each step, so the whole pulse is the sampler's own
@@ -58,6 +61,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .lattice import ChainLattice, dipolar_coupling, splitting
+from .pulses import PHASE_MX, PHASE_X, PHASE_Y
 
 __all__ = [
     "MAX_SPINS",
@@ -82,6 +86,7 @@ SX = np.array([[0.0, 0.5], [0.5, 0.0]], dtype=complex)
 SY = np.array([[0.0, -0.5j], [0.5j, 0.0]], dtype=complex)
 SZ = np.array([[0.5, 0.0], [0.0, -0.5]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
+_HALF_PI = 0.5 * math.pi
 
 
 def single_spin_op(n_spins: int, index: int, op: np.ndarray) -> np.ndarray:
@@ -468,24 +473,63 @@ def _pulse_rotation(sys: SpinSystem, event):
     return spins, np.array([[c, i_sin * e.conjugate()], [i_sin * e, c]])
 
 
-def _pulse_step(sys: SpinSystem, events):
-    """X -> U X for the ideal pulses of one instant: on each spin they
+def _z_composite(events):
+    """alpha when ``events`` are X(pi/2), Y(alpha), X(-pi/2) on one target,
+    the z-rotation composite that pulses.compile_cnot writes; else None."""
+    if len(events) == 3 and len({ev.target for ev in events}) == 1:
+        a, b, c = events
+        if ((a.flip_angle, a.phase, b.phase, c.flip_angle, c.phase)
+                == (_HALF_PI, PHASE_X, PHASE_Y, _HALF_PI, PHASE_MX)):
+            return b.flip_angle
+    return None
+
+
+def _instant_rotations(sys: SpinSystem, events) -> dict:
+    """{spin: r} for the ideal pulses of one instant: on each spin they
     touch, the 2x2 product of its rotations in time order.
 
-    When every spin's product is monomial, exactly diagonal or exactly
-    anti-diagonal (a pi pulse's, or two on one spin), U maps basis state
-    k ^ mask to k times a phase: U X = ph * X[k ^ mask], one gather, mask
-    the XOR of the anti-diagonal spins' bits and ph[k] the product of each
-    spin's one entry r[b, b ^ flip] in row k.  Otherwise one 2x2 pass per
-    spin.
+    A z-rotation composite X(pi/2) Y(alpha) X(-pi/2) on one target is one
+    rotation, exp(+i alpha Iz) = diag(e^{i alpha/2}, e^{-i alpha/2}): the
+    triple's product in exact arithmetic, where the three rounded products
+    leave terms of order 1e-17 off its diagonal.
     """
-    rot = {}
-    for ev in events:
-        spins, r = _pulse_rotation(sys, ev)
+    rot, i = {}, 0
+    while i < len(events):
+        alpha = _z_composite(events[i:i + 3])
+        spins, r = _pulse_rotation(sys, events[i])
+        if alpha is not None:
+            e = cmath.exp(0.5j * alpha)
+            r = np.array([[e, 0], [0, e.conjugate()]])
+        i += 1 if alpha is None else 3
         for s in spins:
             rot[s] = r @ rot[s] if s in rot else r
-    flip = {s: int(r[0, 0] == 0 and r[1, 1] == 0) for s, r in rot.items()}
-    if all(flip[s] or r[0, 1] == 0 and r[1, 0] == 0 for s, r in rot.items()):
+    return rot
+
+
+def _flip(r):
+    """1 for an exactly anti-diagonal 2x2, 0 for an exactly diagonal one
+    (either monomial), None for any other."""
+    if r[0, 1] == 0 and r[1, 0] == 0:
+        return 0
+    if r[0, 0] == 0 and r[1, 1] == 0:
+        return 1
+    return None
+
+
+def _pulse_step(sys: SpinSystem, events):
+    """X -> U X for the ideal pulses of one instant, U the product over the
+    spins of _instant_rotations.
+
+    When every spin's product is monomial, exactly diagonal or exactly
+    anti-diagonal (a pi pulse's, two on one spin, a z-rotation composite),
+    U maps basis state k ^ mask to k times a phase: U X = ph * X[k ^ mask],
+    one gather, mask the XOR of the anti-diagonal spins' bits and ph[k] the
+    product of each spin's one entry r[b, b ^ flip] in row k.  Otherwise
+    one 2x2 pass per spin.
+    """
+    rot = _instant_rotations(sys, events)
+    flip = {s: _flip(r) for s, r in rot.items()}
+    if None not in flip.values():
         k = np.arange(sys.dim)
         mask, ph = 0, np.ones(sys.dim, dtype=complex)
         for s, r in rot.items():
@@ -572,7 +616,9 @@ def _sampled_pulse_step(sys: SpinSystem, event, cache: dict):
 
     def step(X):
         Y = P @ (r0_dag * X.reshape(sys.dim, -1))
-        return (r_last * Y).reshape(X.shape)
+        # r_last * Y written into Y, in that operand order: with fused
+        # multiply-adds, Y * r_last rounds differently
+        return np.multiply(r_last, Y, out=Y).reshape(X.shape)
     return step
 
 
@@ -641,10 +687,13 @@ def propagator(sys: SpinSystem, seq, mode: str = "ideal") -> Propagator:
 def propagator_entries(sys: SpinSystem, seq, perm) -> np.ndarray:
     """U[perm[k], k] for every basis state k, U the ideal-pulse propagator.
 
-    A plane that only pi pulses reach (its own or broadband) keeps its
-    up-count up to a turn-over, as a pi pulse flips bits exactly; every
-    other plane mixes.  So U maps each group of equal up-counts in the kept
-    planes onto the group of k ^ mask, mask the XOR of every pulse's target
+    A plane keeps its up-count up to a turn-over when every instant's
+    product on its spins (_instant_rotations) is monomial, exactly diagonal
+    or exactly anti-diagonal: pi pulses, which flip bits exactly, and
+    z-rotation composites, written as exact diagonals.  A CNOT's
+    composites keep every plane but the target.  Any other plane mixes.  So
+    U maps each group of equal up-counts in the kept planes onto the group
+    of k ^ mask, mask the XOR over instants of the anti-diagonal spins'
     bits.  The groups' columns never share a row, so they are stacked in
     one (d, b_max) array X, X[k, pos[k]] = 1 to start, and X goes through
     propagator's walk; with no kept plane X is U.  Groups of one size end
@@ -656,17 +705,20 @@ def propagator_entries(sys: SpinSystem, seq, perm) -> np.ndarray:
     if (perm.shape != k.shape or perm.dtype.kind not in "iu"
             or not np.array_equal(np.sort(perm), k)):
         raise ConfigError(f"target is not a permutation of range({sys.dim})")
+    flips = [{s: _flip(r) for s, r in _instant_rotations(sys, events).items()}
+             for _, _, events in _pieces(seq, fuse=True) if events]
     kept = [p for p in range(sys.n_planes)
-            if all(ev.flip_angle == math.pi for ev in seq.events
-                   if ev.target in ("broadband", p))]
+            if all(f.get(s, 0) is not None
+                   for f in flips for s in sys.plane_spins(p))]
     key, pos, blocks = sys._groups(kept)
     X = np.eye(blocks[-1].shape[1], dtype=complex)[pos]
     for _, step in _walk(sys, seq, "ideal", fuse=True):
         X = step(X)
     mask = 0
-    for ev in seq.events:
-        for s in _pulse_rotation(sys, ev)[0]:
-            mask ^= 1 << (sys.total_spins - 1 - s)
+    for f in flips:
+        for s, b in f.items():
+            if b:
+                mask ^= 1 << (sys.total_spins - 1 - s)
     entries = np.where(key[perm] == key[k ^ mask], X[perm, pos], 0.0)
     X = X[np.concatenate([rows.ravel() for rows in blocks])]  # rows by group
     ends = np.cumsum([rows.size for rows in blocks])

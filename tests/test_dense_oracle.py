@@ -6,7 +6,9 @@ per pulse, a finite pulse sampled with one eigendecomposition of H + Hd per
 sub-step, the average Hamiltonian in a dense toggling frame, and the CNOT
 target as a product of projectors with the fidelity as a dense trace.  It is kept here only as a reference for
 registers of up to 8 spins.  An instant of pi pulses, applied as one
-gather, is checked against the per-spin 2x2 passes that it replaced.
+gather, is checked against the per-spin 2x2 passes that it replaced, and a
+z-rotation composite, written as one exact diagonal, against the product
+of its three rotations.
 
 The last four properties are metamorphic relations between two runs of
 the structured core, which need no oracle.
@@ -326,6 +328,38 @@ def partial_pi_schedules(draw, n_planes):
 
 
 @st.composite
+def composite_schedules(draw, n_planes):
+    """Zero-width pulses at up to three shared instants: on each drawn
+    target a pi pulse, a z-rotation composite X(pi/2) Y(alpha) X(-pi/2),
+    three pulses in a row as compile_cnot writes it, or, on a drawn set of
+    planes, a pulse of any angle.  The planes that no pulse of any angle
+    reaches keep their up-counts, so the entries are carried in their
+    groups; a composite's three pulses turn none of them over."""
+    T = draw(st.floats(1e-6, 2e-5))
+    instants = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    mixed = draw(st.sets(st.integers(0, n_planes - 1)))
+    target = st.one_of(st.just("broadband"), st.integers(0, n_planes - 1))
+    phase = st.floats(0.0, 2 * math.pi)
+    events = []
+    for _ in range(draw(st.integers(1, 6))):
+        t, tgt = draw(st.sampled_from(instants)) * T, draw(target)
+        kind = draw(st.sampled_from(["pi", "z", "any"] if tgt in mixed
+                                    else ["pi", "z"]))
+        if kind == "z":
+            events += [
+                pulses.PulseEvent(t, 0.0, 0.5 * math.pi, pulses.PHASE_X, tgt),
+                pulses.PulseEvent(t, 0.0, draw(st.floats(1e-3, 2 * math.pi)),
+                                  pulses.PHASE_Y, tgt),
+                pulses.PulseEvent(t, 0.0, 0.5 * math.pi, pulses.PHASE_MX,
+                                  tgt)]
+        else:
+            angle = (math.pi if kind == "pi"
+                     else draw(st.floats(1e-3, 2 * math.pi)))
+            events.append(pulses.PulseEvent(t, 0.0, angle, draw(phase), tgt))
+    return pulses.Sequence(tuple(events), cycle_time=T)
+
+
+@st.composite
 def pi_instants(draw, n_planes):
     """The zero-width pulses of one instant: pi pulses at any phase on
     drawn planes and broadband, so a spin may get two (an exactly diagonal
@@ -447,7 +481,8 @@ def test_fused_instants_match_dense(case, seed):
 @SETTINGS
 @given(st.one_of(registers(), hand_built_registers()),
        st.sampled_from([pi_schedules, instant_schedules,
-                        partial_pi_schedules]), st.data())
+                        partial_pi_schedules, composite_schedules]),
+       st.data())
 def test_propagator_entries_match_dense(sys, sequences, data):
     seq = data.draw(sequences(sys.n_planes))
     perm = data.draw(st.one_of(st.just(range(sys.dim)),
@@ -458,12 +493,13 @@ def test_propagator_entries_match_dense(sys, sequences, data):
     k = np.arange(sys.dim)
     entries = spinsys.propagator_entries(sys, seq, perm)
     # measured over 1000 examples of each strategy: at most 2.5e-14 (pi),
-    # 1.4e-14 (any angle) and 8.7e-15 (pi on some planes), the oracle's
-    # eigh round-off on phases of up to about 80 rad
+    # 1.4e-14 (any angle) and 8.7e-15 (pi on some planes), and over 1500
+    # 2.6e-14 (composites), the oracle's eigh round-off on phases of up to
+    # about 80 rad
     assert np.max(np.abs(entries - U[perm, k])) <= 1e-13
     # against the structured propagator, which takes the same steps on all
-    # d columns at once: at most 5.0e-16, BLAS kernels rounding the
-    # narrower stacked array differently
+    # d columns at once: at most 5.0e-16 (2.8e-16 with composites), BLAS
+    # kernels rounding the narrower stacked array differently
     fast = spinsys.propagator(sys, seq).matrix
     assert np.max(np.abs(entries - fast[perm, k])) <= 2e-15
 
@@ -597,6 +633,36 @@ def test_pulse_instant_is_the_per_spin_passes(sys, data, seed):
             assert np.array_equal(fast, ref)
 
 
+@SETTINGS
+@given(st.floats(0.0, 2 * math.pi, exclude_min=True),
+       st.sampled_from([0, "broadband"]))
+@example(0.5 * math.pi, 0)
+@example(math.pi, 0)
+@example(1.5 * math.pi, "broadband")
+@example(2 * math.pi, 0)
+@example(math.nextafter(2 * math.pi, 0.0), 0)
+@example(5e-324, 0)
+def test_z_composite_is_the_three_rotation_product(alpha, target):
+    # X(pi/2) Y(alpha) X(-pi/2) is written as exp(+i alpha Iz), exactly
+    # diagonal, where the three rounded rotations leave ~1e-17 off it.
+    # Measured: at most 2.3e-16 (1.05 eps) from their product over 2e5
+    # draws; the bound is 2 eps.
+    sys = spinsys.SpinSystem(2, 1, (0.0, 1e5), ())
+    events = [pulses.PulseEvent(1e-6, 0.0, 0.5 * math.pi, pulses.PHASE_X,
+                                target),
+              pulses.PulseEvent(1e-6, 0.0, alpha, pulses.PHASE_Y, target),
+              pulses.PulseEvent(1e-6, 0.0, 0.5 * math.pi, pulses.PHASE_MX,
+                                target)]
+    rot = spinsys._instant_rotations(sys, events)
+    assert sorted(rot) == ([0] if target == 0 else [0, 1])
+    three = np.eye(2)
+    for ev in events:
+        three = spinsys._pulse_rotation(sys, ev)[1] @ three
+    for r in rot.values():
+        assert r[0, 1] == 0 and r[1, 0] == 0
+        assert np.max(np.abs(r - three)) <= 4.4e-16
+
+
 # --- metamorphic relations -------------------------------------------------
 #
 # Exact relations between two runs, which need no dense oracle and so hold
@@ -673,35 +739,35 @@ TRIANGLE = [(0.0, 0.0), (LAM, 0.0), (0.5 * LAM, 0.866 * LAM)]
 
 
 # 12 spins, past the oracle's reach but not the sector carry's (about 0.1 s
-# a run).  Tier-1 runs the explicit examples only; oracle-deep draws more.
+# for the decoupling cycle and 0.15 s for the CNOT, whose groups are keyed by
+# every plane but the target).  Tier-1 runs the explicit examples only;
+# oracle-deep draws more.
 @settings(deadline=None, max_examples=60,
           phases=(Phase.explicit, Phase.generate)
           if settings.get_current_profile_name() == "oracle-deep"
           else (Phase.explicit,))
 @given(st.lists(st.floats(-0.3, 0.3), min_size=6, max_size=6),
        st.floats(1e5, 2e6), st.booleans(), st.floats(5e-6, 8e-6),
-       st.permutations(range(3)))
-@example([0.0] * 6, 1.4e6, True, 6e-6, [2, 0, 1])
-@example([0.0] * 6, 1.4e6, False, 6e-6, [1, 0, 2])
+       st.permutations(range(3)), st.integers(0, 2))
+@example([0.0] * 6, 1.4e6, True, 6e-6, [2, 0, 1], 0)
+@example([0.0] * 6, 1.4e6, False, 6e-6, [1, 0, 2], 1)
 @example([0.0, 0.0, 0.0, 0.0, 1.5 * LAM, -0.866 * LAM],
-         3e5, True, 7.5e-6, [0, 2, 1])
-@example([0.1, -0.2, 0.3, 0.0, -0.3, 0.2], 2e6, True, 5e-6, [1, 2, 0])
-def test_chain_order_leaves_4x3_identity_fidelity_unchanged(
-        jitter, grad, same_plane, slot, order):
-    # The decoupling half of the property above at 4 planes of 3 chains,
-    # about the fluorapatite triangle (the third example puts the chains on
-    # a line).  The CNOT is left out: its propagator is still dense.
-    # Measured: at most 5.6e-16 over 300 random examples; the bound is
-    # the one above.
+         3e5, True, 7.5e-6, [0, 2, 1], 2)
+@example([0.1, -0.2, 0.3, 0.0, -0.3, 0.2], 2e6, True, 5e-6, [1, 2, 0], 1)
+def test_chain_order_leaves_4x3_simulate_fidelities_unchanged(
+        jitter, grad, same_plane, slot, order, control):
+    # The property above at 4 planes of 3 chains, about the fluorapatite
+    # triangle (the third example puts the chains on a line).  Measured:
+    # at most 5.6e-16 (decoupling) over 300 random examples and 9.2e-16
+    # (CNOT, either direction) over 200; the bound is the one above.
     positions = [(x + dx, y + dy) for (x, y), dx, dy
                  in zip(TRIANGLE, jitter[::2], jitter[1::2])]
-    m = pulses.hadamard_sign_matrix(4)
-    systems = (spinsys.build_system(FAP, 4, pos, grad, same_plane)
-               for pos in (positions, [positions[c] for c in order]))
-    a, b = (spinsys.diagonal_z_fidelity(spinsys.propagator_entries(
-        sys, pulses.decoupling_schedule(m, slot), range(sys.dim)))[0]
-        for sys in systems)
-    assert abs(a - b) <= 2e-15
+    a, b = (simulate_fidelities(
+        spinsys.build_system(FAP, 4, pos, grad, same_plane),
+        slot, control, control + 1)
+        for pos in (positions, [positions[c] for c in order]))
+    assert abs(a[0] - b[0]) <= 2e-15
+    assert abs(a[1] - b[1]) <= 2e-15
 
 
 @st.composite

@@ -607,17 +607,36 @@ class TestSectorCarry:
         stays = np.all(sys._plane_iz[:, 1:] == 0.0, axis=1)
         assert np.all(diag[stays]) and not np.any(diag[~stays])
 
-    @pytest.mark.parametrize("n_planes, n_chains", [
-        (3, 1), (8, 1), (4, 2), (3, 3)])
-    def test_cnot_entries_are_the_dense_entries(self, n_planes, n_chains):
-        # the composites touch every plane: one group, X is U, and the
-        # entries have the dense propagator's bits
+    @pytest.mark.parametrize("n_planes, n_chains, b_max", [
+        (3, 1, 2), (8, 1, 2), (4, 2, 32), (3, 3, 72)],
+        ids=["3-1", "8-1", "4-2", "3-3"])
+    def test_cnot_entries_are_the_dense_entries(self, monkeypatch, n_planes,
+                                                n_chains, b_max):
+        # Each composite is an exact z rotation, so every plane but the
+        # target keeps its up-count: the groups are keyed by those planes,
+        # b_max = 2^n_chains C(n_chains, n_chains // 2)^(n_planes - 1).
         chains = [(0.0, 0.0), (2.7214, 0.0), (1.3607, 2.3568)][:n_chains]
         sys = spinsys.build_system(FAP, n_planes, chains, 1.4e6)
         seq, perm = pulses.compile_cnot(sys, 0, 1)
-        U = spinsys.propagator(sys, seq).matrix
-        assert np.array_equal(spinsys.propagator_entries(sys, seq, perm),
-                              U[perm, np.arange(sys.dim)])
+        groups, keyed = SpinSystem._groups, []
+
+        def spied(self, planes):
+            out = groups(self, planes)
+            keyed.append((list(planes), out[2][-1].shape[1]))
+            return out
+        monkeypatch.setattr(SpinSystem, "_groups", spied)
+        entries = spinsys.propagator_entries(sys, seq, perm)
+        monkeypatch.undo()
+        assert keyed[0] == ([p for p in range(n_planes) if p != 1], b_max)
+        want = spinsys.propagator(sys, seq).matrix[perm, np.arange(sys.dim)]
+        if n_chains > 1:  # the dense propagator's bits
+            assert np.array_equal(entries, want)
+        else:
+            # b = 2: the narrow stacked array rounds differently.  Measured:
+            # at most 1.2e-16 (3 planes) and 2.5e-16 (8 planes) over 200
+            # gradients from 1e5 to 2e6 and every adjacent control-target
+            # pair; the bound is 2 eps
+            assert np.max(np.abs(entries - want)) <= 4.4e-16
 
     def test_check_unitary_checks_every_block(self):
         rng = np.random.default_rng(3)
