@@ -10,7 +10,6 @@ otherwise.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 from typing import TYPE_CHECKING, NamedTuple
@@ -207,7 +206,7 @@ class RunConfig(NamedTuple):
         if "transverse_basis_m" in s:
             over["transverse_basis"] = tuple(
                 tuple(v) for v in s["transverse_basis_m"])
-        return dataclasses.replace(get_preset(s["preset"]), **over)
+        return get_preset(s["preset"])._replace(**over)
 
     def magnet(self) -> PrismMagnet:
         from .magnet import PrismMagnet

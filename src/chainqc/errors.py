@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the JSON number rules that
-both loaders use, and the canonical JSON writer."""
+"""Exception types shared across the package, the base of the records that
+check their fields, the JSON number rules that both loaders use, and the
+canonical JSON writer."""
 
 import json
 import math
@@ -27,6 +28,26 @@ class SequenceValidationError(ChainqcError):
     def __init__(self, message, offenders=()):
         super().__init__(message)
         self.offenders = list(offenders)
+
+
+class Checked:
+    """Base of a NamedTuple record that checks its fields wherever one is
+    built: ``class R(Checked, _RFields)``, with R's ``_check`` raising
+    ConfigError.  The constructor runs it, and so do ``_make`` and
+    ``_replace``, which namedtuple builds through tuple.__new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        self = super()._make(iterable)
+        self._check()
+        return self
 
 
 def finite_json_number(text: str) -> float:

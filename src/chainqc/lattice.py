@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, MU0_OVER_4PI, TWO_PI
-from .errors import ConfigError
+from .errors import Checked, ConfigError
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
@@ -52,8 +51,14 @@ MAX_GRID_POINTS = 10_000_000
 _GRID_ROWS = 16
 
 
-@dataclass(frozen=True)
-class ChainLattice:
+class _ChainLatticeFields(NamedTuple):
+    name: str
+    a: float
+    transverse_basis: tuple[tuple[float, float], tuple[float, float]]
+    gamma: float
+
+
+class ChainLattice(Checked, _ChainLatticeFields):
     """Geometry and nuclear constants of a chain crystal.
 
     a: intra-chain spacing (m); transverse_basis: two 2-vectors (m) spanning
@@ -61,12 +66,9 @@ class ChainLattice:
     field lies along the chains.
     """
 
-    name: str
-    a: float
-    transverse_basis: tuple[tuple[float, float], tuple[float, float]]
-    gamma: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.a > 0:
             raise ConfigError(f"chain spacing must be positive, got {self.a}")
         if not self.gamma > 0:

@@ -13,13 +13,12 @@ magnetization / applied-field axis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .constants import MU0
-from .errors import ConfigError, ConvergenceError
+from .errors import Checked, ConfigError, ConvergenceError
 
 __all__ = [
     "PrismMagnet",
@@ -41,21 +40,24 @@ __all__ = [
 HOMOGENEITY_BLOCK_POINTS = 2048
 
 
-@dataclass(frozen=True)
-class PrismMagnet:
-    """Uniformly z-magnetized rectangular prism.
-
-    w, h, d: edge lengths (m) along x, z, y; center: prism center (m);
-    magnetization: A/m along +z.
-    """
-
+class _PrismMagnetFields(NamedTuple):
     w: float
     h: float
     d: float
     center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     magnetization: float = 0.0
 
-    def __post_init__(self):
+
+class PrismMagnet(Checked, _PrismMagnetFields):
+    """Uniformly z-magnetized rectangular prism.
+
+    w, h, d: edge lengths (m) along x, z, y; center: prism center (m);
+    magnetization: A/m along +z.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         if not (self.w > 0 and self.h > 0 and self.d > 0):
             raise ConfigError("prism dimensions must be positive")
         if not self.magnetization >= 0:

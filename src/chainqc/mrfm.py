@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .constants import HBAR, KB, TWO_PI
-from .errors import ConfigError, ConvergenceError
+from .errors import Checked, ConfigError, ConvergenceError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -52,22 +51,24 @@ _CAI_BLOCK = 2**16
 _CAI_SUB = 256
 
 
-@dataclass(frozen=True)
-class CantileverModel:
+class _CantileverModelFields(NamedTuple):
     spring_constant: float   # N/m
     resonance_freq: float    # Hz
     quality: float
     temperature: float       # K
 
-    def __post_init__(self):
+
+class CantileverModel(Checked, _CantileverModelFields):
+    __slots__ = ()
+
+    def _check(self):
         for name in ("spring_constant", "resonance_freq", "quality",
                      "temperature"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
 
 
-@dataclass(frozen=True)
-class ScalabilityParams:
+class _ScalabilityParamsFields(NamedTuple):
     B0: float                # T
     temperature: float       # K
     N: float                 # equivalent-frequency copies per plane
@@ -80,7 +81,11 @@ class ScalabilityParams:
     force_threshold: float   # N/sqrt(Hz)
     bandwidth: float         # Hz
 
-    def __post_init__(self):
+
+class ScalabilityParams(Checked, _ScalabilityParamsFields):
+    __slots__ = ()
+
+    def _check(self):
         # delta_omega too: gamma * a * grad of finite factors can be inf
         for name in ("B0", "temperature", "N", "grad", "gamma", "T2_0",
                      "L", "delta_omega", "force_threshold", "bandwidth"):
@@ -98,17 +103,20 @@ class ScalabilityParams:
         return self.force_threshold * math.sqrt(self.bandwidth)
 
 
-@dataclass(frozen=True)
-class CAIParams:
-    """Cyclic-adiabatic-inversion drive parameters."""
-
+class _CAIParamsFields(NamedTuple):
     b1: float                # T
     omega_m: float           # rad/s, modulation frequency
     excursion: float         # rad/s, peak detuning Omega
     n_periods: int           # whole modulation periods in the trace
     gamma: float             # rad/s/T
 
-    def __post_init__(self):
+
+class CAIParams(Checked, _CAIParamsFields):
+    """Cyclic-adiabatic-inversion drive parameters."""
+
+    __slots__ = ()
+
+    def _check(self):
         if not self.b1 >= 0:
             raise ConfigError("b1 must be non-negative")
         for name in ("omega_m", "excursion", "gamma"):

@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .constants import TWO_PI
-from .errors import (ConfigError, SequenceValidationError, canonical_json,
-                     finite_json_number, is_number)
+from .errors import (Checked, ConfigError, SequenceValidationError,
+                     canonical_json, finite_json_number, is_number)
 
 if TYPE_CHECKING:
     from .spinsys import SpinSystem
@@ -51,17 +50,55 @@ Target = Union[str, int]
 MAX_SCHEDULE_EVENTS = 2560
 
 
-@dataclass(frozen=True)
-class PulseEvent:
-    """One RF pulse.  duration 0 means instantaneous (ideal)."""
+class _Record:
+    """Base of the two schedule records, which are not tuples: the fields
+    are the __slots__, set once by __init__ before its check.  Equality,
+    hash, repr, ``_asdict`` and ``_replace`` go by the fields, as a
+    NamedTuple's do, and assignment is refused."""
 
-    t_start: float
-    duration: float
-    flip_angle: float
-    phase: float
-    target: Target  # "broadband" or plane index
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._values()))
+
+    def _replace(self, **changes):
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in self._asdict().items())
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class PulseEvent(_Record):
+    """One RF pulse.  duration 0 means instantaneous (ideal); target is
+    "broadband" or a plane index."""
+
+    __slots__ = ("t_start", "duration", "flip_angle", "phase", "target")
+
+    def __init__(self, t_start: float, duration: float, flip_angle: float,
+                 phase: float, target: Target):
+        self._set(t_start, duration, flip_angle, phase, target)
         for name in ("t_start", "duration"):
             if not (math.isfinite(getattr(self, name))
                     and getattr(self, name) >= 0):
@@ -79,23 +116,21 @@ class PulseEvent:
         return self.t_start + self.duration
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(_Record):
     """Time-ordered pulse schedule over one cycle.
 
     No event may overlap an earlier one on its own plane or a broadband
     pulse, which acts on every plane; selective pulses on different planes
     may overlap."""
 
-    events: tuple[PulseEvent, ...]
-    cycle_time: float
-    label: str = ""
+    __slots__ = ("events", "cycle_time", "label")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.cycle_time) and self.cycle_time >= 0):
+    def __init__(self, events: tuple[PulseEvent, ...], cycle_time: float,
+                 label: str = ""):
+        if not (math.isfinite(cycle_time) and cycle_time >= 0):
             raise ConfigError("cycle_time must be finite and non-negative")
-        ordered = tuple(sorted(self.events, key=lambda e: e.t_start))
-        object.__setattr__(self, "events", ordered)
+        ordered = tuple(sorted(events, key=lambda e: e.t_start))
+        self._set(ordered, cycle_time, label)
         offenders = []
         last_end: dict[Target, float] = {}
         for ev in ordered:
@@ -128,13 +163,16 @@ class Sequence:
             yield t, self.cycle_time, None
 
 
-@dataclass(frozen=True)
-class SignMatrix:
-    """Rows of +-1 signs; one row per plane, one column per time slot."""
-
+class _SignMatrixFields(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class SignMatrix(Checked, _SignMatrixFields):
+    """Rows of +-1 signs; one row per plane, one column per time slot."""
+
+    # no __slots__: the cached scales keep their value in __dict__
+
+    def _check(self):
         for row in self.rows:
             if len(row) != self.k:
                 raise ConfigError("ragged sign matrix")
@@ -275,7 +313,7 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
                           f"the cap of {MAX_SCHEDULE_EVENTS}")
     total = reps * broadband.cycle_time
     bb = Sequence(tuple(
-        replace(e, t_start=e.t_start + r * broadband.cycle_time)
+        e._replace(t_start=e.t_start + r * broadband.cycle_time)
         for r in range(reps) for e in broadband.events), total)
     windows = [(a, b) for a, b, ev in bb.segments() if ev is None]
     min_window = min((b - a for a, b in windows), default=0.0)
@@ -301,7 +339,7 @@ def interleave(broadband: Sequence, selective: Sequence) -> Sequence:
         if best is None:
             offenders.append(ev)
             continue
-        new = replace(ev, t_start=best[1])
+        new = ev._replace(t_start=best[1])
         placed.append(new)
         last_end[ev.target] = new.t_end
     if offenders:
@@ -394,7 +432,7 @@ def sequence_to_json(seq: Sequence) -> str:
         "schema_version": SCHEDULE_SCHEMA_VERSION,
         "label": seq.label,
         "cycle_time": seq.cycle_time,
-        "events": [asdict(e) for e in seq.events],
+        "events": [e._asdict() for e in seq.events],
     }
     return canonical_json(obj)
 

@@ -54,12 +54,11 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import Checked, ConfigError
 from .lattice import ChainLattice, dipolar_coupling, splitting
 from .pulses import PHASE_MX, PHASE_X, PHASE_Y
 
@@ -120,14 +119,18 @@ _TENSOR = {True: np.diag([-0.5, -0.5, 1.0]),
            False: np.diag([0.0, 0.0, 1.0])}
 
 
-@dataclass(frozen=True)
-class SpinSystem:
+class _SpinSystemFields(NamedTuple):
     n_planes: int
     n_chains: int
     offsets: tuple[float, ...]  # rad/s, per plane
     couplings: tuple[Coupling, ...]
 
-    def __post_init__(self):
+
+class SpinSystem(Checked, _SpinSystemFields):
+    # no __slots__: the cached properties below keep their values in the
+    # instance's __dict__
+
+    def _check(self):
         if not (self.n_planes >= 1 and self.n_chains >= 1):
             raise ConfigError("need at least one plane and one chain")
         n = self.total_spins
@@ -371,11 +374,14 @@ def _check_unitary(B: np.ndarray) -> None:
         raise ConfigError(f"propagator not unitary (deviation {err:.2e})")
 
 
-@dataclass(frozen=True)
-class Propagator:
+class _PropagatorFields(NamedTuple):
     matrix: np.ndarray
 
-    def __post_init__(self):
+
+class Propagator(Checked, _PropagatorFields):
+    __slots__ = ()
+
+    def _check(self):
         U = self.matrix
         if U.ndim != 2 or U.shape[0] != U.shape[1]:
             raise ConfigError("propagator must be square")

@@ -6,7 +6,6 @@ echoed in the terminal summary) and then asserts.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,11 +88,11 @@ def test_criterion_5_extreme_regime_scaling():
     # so a band on n is a band 4x narrower on B0/T; the claim is checked as
     # a lower bound at the abstract's own numbers, and the count is pinned
     # to its closed form.
-    p_abstract = replace(DESIGN, B0=20.0, temperature=0.01)
+    p_abstract = DESIGN._replace(B0=20.0, temperature=0.01)
     nmax = mrfm.max_measurable_qubits(p_abstract)
     claim = nmax >= 300
     # same B0/T, same count; the count is the floor of the closed form
-    p2000 = replace(DESIGN, B0=2000.0, temperature=1.0)
+    p2000 = DESIGN._replace(B0=2000.0, temperature=1.0)
     n_star = _high_polarization_qubit_limit(p2000)
     closed_form = (mrfm.max_measurable_qubits(p2000) == nmax
                    and nmax == math.floor(n_star))
@@ -106,7 +105,7 @@ def test_criterion_5_extreme_regime_scaling():
     round_trip = True
     for n in (10, 100, 300):
         bt = mrfm.required_field_over_temp(n, DESIGN)
-        p = replace(DESIGN, B0=bt * 1.0001, temperature=1.0)
+        p = DESIGN._replace(B0=bt * 1.0001, temperature=1.0)
         if abs(mrfm.max_measurable_qubits(p) - n) > 1:
             round_trip = False
     ok = claim and closed_form and monotone and round_trip
@@ -119,17 +118,17 @@ def test_criterion_5_extreme_regime_scaling():
 def test_criterion_6_gate_budget():
     exact = True
     for n in (2, 10, 50):
-        b = mrfm.gate_budget(replace(DESIGN, n=n))
+        b = mrfm.gate_budget(DESIGN._replace(n=n))
         if not math.isclose(b.budget_times_l,
                             DESIGN.T2_0 * DESIGN.delta_omega / n**2,
                             rel_tol=1e-12):
             exact = False
-    b1 = mrfm.gate_budget(replace(DESIGN, T2_0=0.1)).budget
-    b2 = mrfm.gate_budget(replace(DESIGN, T2_0=10.0)).budget
-    b3 = mrfm.gate_budget(replace(DESIGN, T2_0=1000.0)).budget
+    b1 = mrfm.gate_budget(DESIGN._replace(T2_0=0.1)).budget
+    b2 = mrfm.gate_budget(DESIGN._replace(T2_0=10.0)).budget
+    b3 = mrfm.gate_budget(DESIGN._replace(T2_0=1000.0)).budget
     spacing = (math.isclose(b2 / b1, 100.0, rel_tol=1e-12)
                and math.isclose(b3 / b2, 100.0, rel_tol=1e-12))
-    spot = mrfm.gate_budget(replace(DESIGN, n=10, T2_0=0.1)).budget_times_l
+    spot = mrfm.gate_budget(DESIGN._replace(n=10, T2_0=0.1)).budget_times_l
     spot_ok = abs(spot - 1.21e2) <= 0.01 * 1.21e2
     ok = exact and spacing and spot_ok
     check(6, "budget x L = T2_0 dOmega / n^2 exact; 20 dB trace spacing; "

@@ -12,9 +12,9 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -115,6 +115,33 @@ _JSON = st.recursive(
 _VALUE = _EDGE | st.lists(_EDGE, min_size=1, max_size=3) | _JSON
 
 
+# Records that check their fields: a valid example of each, by keyword in
+# field order, and one field value that the check refuses.
+_CHECKED = {
+    lattice.ChainLattice: (
+        dict(name="x", a=3e-10, transverse_basis=((1e-9, 0.0), (0.0, 1e-9)),
+             gamma=2.5e8),
+        "transverse_basis", ((1e-9, 0.0), (2e-9, 0.0))),
+    magnet.PrismMagnet: (
+        dict(w=1e-5, h=1e-5, d=1e-5, center=(0.0, 0.0, 6e-6),
+             magnetization=1.75e6),
+        "magnetization", -1.0),
+    mrfm.CantileverModel: (
+        dict(spring_constant=1e-3, resonance_freq=5e3, quality=1e4,
+             temperature=4.0),
+        "quality", 0.0),
+    mrfm.ScalabilityParams: (_DEFAULT_CFG.scalability()._asdict(), "n", 0),
+    mrfm.CAIParams: (_DEFAULT_CFG.cai()._asdict(), "n_periods", 1.5),
+    pulses.SignMatrix: (dict(rows=((1, -1), (1, 1))),
+                        "rows", ((1, -1), (1,))),
+    spinsys.SpinSystem: (
+        dict(n_planes=2, n_chains=1, offsets=(0.0, 1e5),
+             couplings=(spinsys.Coupling(0, 1, 1e3),)),
+        "couplings", (spinsys.Coupling(1, 1, 1e3),)),
+    spinsys.Propagator: (dict(matrix=np.eye(2)), "matrix", 2 * np.eye(2)),
+}
+
+
 def _accessors(cfg):
     calls = [lambda name=name: cfg.section(name) for name in _SECTIONS]
     return calls + [cfg.lattice, cfg.magnet, cfg.scalability, cfg.cai,
@@ -201,15 +228,26 @@ class TestConfig:
                                      math.nan),
         lambda: magnet.PrismMagnet(1e-5, math.nan, 1e-5),
         lambda: magnet.PrismMagnet(1e-5, 1e-5, 1e-5, magnetization=math.nan),
-        lambda: replace(_DEFAULT_CFG.scalability(), B0=math.nan),
-        lambda: replace(_DEFAULT_CFG.scalability(), n=math.nan),
-        lambda: replace(_DEFAULT_CFG.cai(), b1=math.nan),
-        lambda: replace(_DEFAULT_CFG.cai(), omega_m=math.nan),
+        lambda: _DEFAULT_CFG.scalability()._replace(B0=math.nan),
+        lambda: _DEFAULT_CFG.scalability()._replace(n=math.nan),
+        lambda: _DEFAULT_CFG.cai()._replace(b1=math.nan),
+        lambda: _DEFAULT_CFG.cai()._replace(omega_m=math.nan),
         lambda: mrfm.CantileverModel(1e-3, 5e3, math.nan, 4.0),
     ])
     def test_dataclasses_reject_nan(self, make):
         with pytest.raises(ConfigError):
             make()
+
+    @pytest.mark.parametrize("record", list(_CHECKED),
+                             ids=lambda r: r.__name__)
+    def test_checked_record_refuses_bad_field(self, record):
+        # _replace too: namedtuple builds its result through tuple.__new__,
+        # which would skip a check in the record's __new__
+        good, name, bad = _CHECKED[record]
+        with pytest.raises(ConfigError):
+            record(**{**good, name: bad})
+        with pytest.raises(ConfigError):
+            record(**good)._replace(**{name: bad})
 
     def test_import_loads_no_jsonschema(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -219,18 +257,25 @@ class TestConfig:
             env=dict(os.environ, PYTHONPATH=str(src)), check=True)
 
 
-def _fresh_modules(code: str) -> tuple[set, bool]:
+# Modules the import tests watch: numpy, which only the array models load;
+# dataclasses, which no command loads; inspect, which numpy imports itself
+# and dataclasses would.
+_WATCHED = ("numpy", "dataclasses", "inspect")
+
+
+def _fresh_modules(code: str) -> tuple[set, set]:
     """The chainqc modules a fresh interpreter holds after running code, and
-    whether it has loaded numpy."""
+    which of _WATCHED it has loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     report = ("\nimport json, sys\nprint(json.dumps([sorted("
               "m[len('chainqc.'):] for m in sys.modules "
-              "if m.startswith('chainqc.')), 'numpy' in sys.modules]))")
+              "if m.startswith('chainqc.')), "
+              f"[m for m in {_WATCHED!r} if m in sys.modules]]))")
     done = subprocess.run([sys.executable, "-c", code + report],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, check=True)
-    modules, numpy = json.loads(done.stdout.splitlines()[-1])
-    return set(modules), numpy
+    modules, loaded = json.loads(done.stdout.splitlines()[-1])
+    return set(modules), set(loaded)
 
 
 # Modules every command loads: the CLI, its config and what config needs.
@@ -239,7 +284,9 @@ _STARTUP = {"cli", "config", "constants", "errors", "lattice"}
 _NUMPY_FREE = {"schedule", "scalability"}
 
 
-# Results that check nothing are NamedTuples, cheap to define at import.
+# Records are NamedTuples, cheap to define at import: results that check
+# nothing, built here from 0, 1, ..., and the records of _CHECKED, built from
+# their valid examples.  Schedules are not tuples (below).
 _RECORDS = [
     (magnet.FieldSample, ("position", "bz", "grad_bz")),
     (magnet.HomogeneityReport,
@@ -254,6 +301,17 @@ _RECORDS = [
      ("delta_omega_nn", "sigma", "sigma_over_delta", "convergence_radius",
       "n_sites", "trace")),
     (config.RunConfig, ("raw",)),
+    (lattice.ChainLattice, ("name", "a", "transverse_basis", "gamma")),
+    (magnet.PrismMagnet, ("w", "h", "d", "center", "magnetization")),
+    (mrfm.CantileverModel,
+     ("spring_constant", "resonance_freq", "quality", "temperature")),
+    (mrfm.ScalabilityParams,
+     ("B0", "temperature", "N", "n", "grad", "gamma", "T2_0", "L",
+      "delta_omega", "force_threshold", "bandwidth")),
+    (mrfm.CAIParams, ("b1", "omega_m", "excursion", "n_periods", "gamma")),
+    (pulses.SignMatrix, ("rows",)),
+    (spinsys.SpinSystem, ("n_planes", "n_chains", "offsets", "couplings")),
+    (spinsys.Propagator, ("matrix",)),
 ]
 
 
@@ -263,7 +321,7 @@ class TestImports:
     def test_config_and_pulses_load_no_other_model(self):
         assert _fresh_modules(
             "import chainqc.cli\n"
-            "chainqc.cli.config.load_config(None)") == (_STARTUP, False)
+            "chainqc.cli.config.load_config(None)") == (_STARTUP, set())
         assert "spinsys" not in _fresh_modules("import chainqc.pulses")[0]
 
     @pytest.mark.parametrize("command, models", [
@@ -279,14 +337,18 @@ class TestImports:
         code = ("from chainqc import cli\n"
                 f"assert cli.main([{command!r}, '--no-meta', "
                 f"'--out', {str(out)!r}]) == 0")
-        assert _fresh_modules(code) == (_STARTUP | models,
-                                        command not in _NUMPY_FREE)
+        modules, loaded = _fresh_modules(code)
+        assert modules == _STARTUP | models
+        if command in _NUMPY_FREE:
+            assert loaded == set()
+        else:  # numpy imports inspect itself
+            assert loaded - {"inspect"} == {"numpy"}
 
     def test_recoupled_schedule_loads_no_numpy(self, tmp_path):
         code = ("from chainqc import cli\n"
                 "assert cli.main(['schedule', '--recouple', '0,2', "
                 f"'--no-meta', '--out', {str(tmp_path / 'out')!r}]) == 0")
-        assert _fresh_modules(code) == (_STARTUP | {"pulses", "mrfm"}, False)
+        assert _fresh_modules(code) == (_STARTUP | {"pulses", "mrfm"}, set())
 
     def test_version_and_config_error_load_no_numpy(self, tmp_path):
         code = ("from chainqc import cli\n"
@@ -294,19 +356,21 @@ class TestImports:
                 "    cli.main(['--version'])\n"
                 "except SystemExit as exc:\n"
                 "    assert exc.code == 0\n")
-        assert _fresh_modules(code) == (_STARTUP, False)
+        assert _fresh_modules(code) == (_STARTUP, set())
         cfg = write_cfg(tmp_path, {"schema_version": 1, "nope": 1})
         code = ("from chainqc import cli\n"
                 f"assert cli.main(['lattice', '--config', {cfg!r}, "
                 f"'--out', {str(tmp_path / 'out')!r}]) == 2")
-        assert _fresh_modules(code) == (_STARTUP, False)
+        assert _fresh_modules(code) == (_STARTUP, set())
 
     @pytest.mark.parametrize("record, fields", _RECORDS,
                              ids=[r.__name__ for r, _ in _RECORDS])
     def test_result_records(self, record, fields):
-        rec = record(**{f: k for k, f in enumerate(fields)})
+        values = (_CHECKED[record][0] if record in _CHECKED
+                  else {f: k for k, f in enumerate(fields)})
+        rec = record(**values)
         assert rec._fields == fields
-        assert tuple(rec) == tuple(range(len(fields)))
+        assert tuple(rec) == tuple(values[f] for f in fields)
 
     def test_schedules_are_not_tuples(self):
         # benchmarks/traced.py tells compile_cnot's (Sequence, perm) from a
@@ -682,6 +746,17 @@ class TestExitCodes:
         assert run(["lattice", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "coefficient grid" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_lattice_override_the_record_refuses_exits_2(self, tmp_path,
+                                                         capsys):
+        # each basis vector passes the config table; ChainLattice refuses
+        # the collinear pair when the override replaces the preset's basis
+        cfg = write_cfg(tmp_path, _v1(lattice={"transverse_basis_m": [
+            [9.367e-10, 0.0], [4.6835e-10, 0.0]]}))
+        out = tmp_path / "o"
+        assert run(["lattice", "--config", cfg, "--out", str(out)]) == 2
+        assert "collinear" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integer_past_digit_limit_exits_2(self, tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import functools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ class TestMagnetization:
         # overflow-free path vs the plain expression where it is safe
         for n, b0, temp in ((1, 7.0, 4.0), (5, 7.0, 4.0), (10, 7.0, 4.0),
                             (20, 100.0, 1.0)):
-            p = replace(DESIGN, n=n, B0=b0, temperature=temp)
+            p = DESIGN._replace(n=n, B0=b0, temperature=temp)
             x = HBAR * p.gamma * b0 / (2 * KB * temp)
             direct = (p.gamma * HBAR * p.N * 2.0**-n
                       * math.sinh(n * x) / math.cosh(x) ** n)
@@ -36,19 +35,19 @@ class TestMagnetization:
                 direct, rel=1e-12)
 
     def test_no_overflow_in_extreme_regime(self):
-        p = replace(DESIGN, n=300, B0=2000.0, temperature=1.0)
+        p = DESIGN._replace(n=300, B0=2000.0, temperature=1.0)
         m = mrfm.effective_pure_magnetization(p)
         assert math.isfinite(m)
         assert m > 0
 
     def test_high_temperature_limit(self):
-        p = replace(DESIGN, B0=1e-4)
+        p = DESIGN._replace(B0=1e-4)
         full = mrfm.effective_pure_magnetization(p)
         approx = high_temp_magnetization(p)
         assert full == pytest.approx(approx, rel=1e-3)
 
     def test_scaling_with_copies(self):
-        p2 = replace(DESIGN, N=2 * DESIGN.N)
+        p2 = DESIGN._replace(N=2 * DESIGN.N)
         assert mrfm.effective_pure_magnetization(p2) == pytest.approx(
             2 * mrfm.effective_pure_magnetization(DESIGN))
 
@@ -79,17 +78,17 @@ class TestMeasurableQubits:
         assert mrfm.max_measurable_qubits(DESIGN) == 10
 
     def test_zero_when_hopeless(self):
-        p = replace(DESIGN, N=1.0)
+        p = DESIGN._replace(N=1.0)
         assert mrfm.max_measurable_qubits(p) == 0
 
     def test_matches_linear_scan(self):
         answers = set()
         for bt in (1.75, 40.0, 2000.0):
             for n_copies in (1.0, 1e3, 1e7):
-                p = replace(DESIGN, B0=bt, temperature=1.0, N=n_copies)
+                p = DESIGN._replace(B0=bt, temperature=1.0, N=n_copies)
                 f1 = mrfm.force_at_n(p, 1)
                 for thr in (1e-22, 5.6e-18, 1e-15, 0.9 * f1, f1):
-                    q = replace(p, force_threshold=thr)
+                    q = p._replace(force_threshold=thr)
                     scan = [n for n in range(1, 1200)
                             if mrfm.force_at_n(q, n) >= thr]
                     expect = max(scan, default=0)
@@ -103,12 +102,12 @@ class TestMeasurableQubits:
         # the count is searched up to the cap; only a force that still
         # clears the threshold at the cap raises
         monkeypatch.setattr(mrfm, "_N_SCAN_CAP", 100)
-        p = replace(DESIGN, B0=1000.0, temperature=1.0)
+        p = DESIGN._replace(B0=1000.0, temperature=1.0)
         expect = max(n for n in range(1, 100)
                      if mrfm.force_at_n(p, n) >= p.detection_threshold)
         assert 64 <= expect < 100
         assert mrfm.max_measurable_qubits(p) == expect
-        p = replace(p, B0=1200.0)
+        p = p._replace(B0=1200.0)
         assert mrfm.force_at_n(p, 100) >= p.detection_threshold
         with pytest.raises(ConvergenceError, match="exceeded n=100"):
             mrfm.max_measurable_qubits(p)
@@ -121,7 +120,7 @@ class TestMeasurableQubits:
     def test_round_trip(self):
         for n in (5, 10, 40):
             bt = mrfm.required_field_over_temp(n, DESIGN)
-            p = replace(DESIGN, B0=bt * 1.0001, temperature=1.0)
+            p = DESIGN._replace(B0=bt * 1.0001, temperature=1.0)
             assert abs(mrfm.max_measurable_qubits(p) - n) <= 1
 
     def test_design_field_over_temp(self):
@@ -130,7 +129,7 @@ class TestMeasurableQubits:
             1.61, rel=0.01)
 
     @pytest.mark.parametrize("p", [
-        DESIGN, replace(DESIGN, N=1e9, grad=2e6, force_threshold=1e-19)],
+        DESIGN, DESIGN._replace(N=1e9, grad=2e6, force_threshold=1e-19)],
         ids=["design", "dense-strong-gradient"])
     def test_required_field_matches_replace_bisection(self, p):
         for n in range(1, 61):
@@ -140,12 +139,12 @@ class TestMeasurableQubits:
     def test_copies_underflow_refused(self):
         # ln(gamma * hbar * N) would be a math domain error
         with pytest.raises(ConfigError, match="underflows"):
-            replace(DESIGN, N=1e-300)
+            DESIGN._replace(N=1e-300)
 
     def test_bracket_failure(self):
         with pytest.raises(ConvergenceError):
             mrfm.required_field_over_temp(
-                10, replace(DESIGN, force_threshold=1e10))
+                10, DESIGN._replace(force_threshold=1e10))
 
 
 def replace_bisection(n, p):
@@ -154,7 +153,7 @@ def replace_bisection(n, p):
     thr = p.detection_threshold
 
     def f(bt):
-        q = replace(p, B0=bt, temperature=1.0, n=n)
+        q = p._replace(B0=bt, temperature=1.0, n=n)
         return mrfm.readout_force(
             mrfm.effective_pure_magnetization(q), p.grad) - thr
 
@@ -183,7 +182,7 @@ class TestGateBudget:
 
     def test_algebraic_identity(self):
         for n in (2, 10, 100):
-            p = replace(DESIGN, n=n)
+            p = DESIGN._replace(n=n)
             b = mrfm.gate_budget(p)
             assert b.budget_times_l == pytest.approx(
                 p.T2_0 * p.delta_omega / n**2, rel=1e-15)
@@ -191,13 +190,13 @@ class TestGateBudget:
                                                    rel=1e-12)
 
     def test_spot_value(self):
-        b = mrfm.gate_budget(replace(DESIGN, n=10, T2_0=0.1))
+        b = mrfm.gate_budget(DESIGN._replace(n=10, T2_0=0.1))
         assert b.budget_times_l == pytest.approx(121.1, rel=0.01)
 
     def test_t2_spacing_20db(self):
-        b1 = mrfm.gate_budget(replace(DESIGN, T2_0=0.1)).budget
-        b2 = mrfm.gate_budget(replace(DESIGN, T2_0=10.0)).budget
-        b3 = mrfm.gate_budget(replace(DESIGN, T2_0=1000.0)).budget
+        b1 = mrfm.gate_budget(DESIGN._replace(T2_0=0.1)).budget
+        b2 = mrfm.gate_budget(DESIGN._replace(T2_0=10.0)).budget
+        b3 = mrfm.gate_budget(DESIGN._replace(T2_0=1000.0)).budget
         assert b2 / b1 == pytest.approx(100.0)
         assert b3 / b2 == pytest.approx(100.0)
 
@@ -333,7 +332,7 @@ _oracle = functools.cache(stepwise_cai_readout)
 _CAI_CASES = [
     ("default-up", (_DEFAULT_CAI, "up", 4000)),
     ("default-down", (_DEFAULT_CAI, "down", 4000)),
-    ("b1-zero", (replace(_DEFAULT_CAI, b1=0.0), "up", 4000)),
+    ("b1-zero", (_DEFAULT_CAI._replace(b1=0.0), "up", 4000)),
     ("adiabaticity-2", (cai_params(adiabaticity=2.0), "up", 4000)),
     ("adiabaticity-20", (cai_params(adiabaticity=20.0), "down", 4000)),
     ("100-steps-1-period", (cai_params(periods=1), "up", 100)),
@@ -445,7 +444,7 @@ class TestCAI:
 
     def test_following_undefined_without_prediction(self):
         # an excursion far below omega_1 keeps the prediction under 0.1
-        p = replace(cai_params(periods=1), excursion=1.0)
+        p = cai_params(periods=1)._replace(excursion=1.0)
         res = mrfm.simulate_cai_readout(p, steps_per_period=100)
         assert res.following_figure is None
 

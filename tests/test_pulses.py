@@ -1,8 +1,8 @@
 """Pulse-schedule generation, validation, compilation, serialization."""
 
+import copy
 import json
 import math
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -58,7 +58,7 @@ class TestSequenceValidation:
             Sequence(tuple(events), cycle_time=2e-6)
         assert exc.value.offenders == [events[1]]
         text = json.dumps({"schema_version": 1, "cycle_time": 2e-6,
-                           "events": [asdict(e) for e in events]})
+                           "events": [e._asdict() for e in events]})
         with pytest.raises(SequenceValidationError):
             pulses.sequence_from_json(text)
 
@@ -104,6 +104,28 @@ class TestSequenceValidation:
 
     def test_zero_cycle_time_valid(self):
         assert Sequence((), cycle_time=0.0).events == ()
+
+    def test_schedule_records(self):
+        # fields compare and hash as a tuple's would, the repr is the one
+        # the CLI prints for an offender, and a changed or copied record is
+        # checked again
+        ev = PulseEvent(1e-6, 0.0, math.pi, PHASE_X, 0)
+        seq = Sequence((ev,), cycle_time=2e-6, label="x")
+        same = PulseEvent(1e-6, 0.0, math.pi, PHASE_X, 0)
+        assert ev == same and hash(ev) == hash(same)
+        assert ev != ev._replace(target=1)
+        assert repr(ev) == ("PulseEvent(t_start=1e-06, duration=0.0, "
+                            "flip_angle=3.141592653589793, phase=0.0, "
+                            "target=0)")
+        assert list(ev._asdict()) == ["t_start", "duration", "flip_angle",
+                                      "phase", "target"]
+        with pytest.raises(AttributeError):
+            seq.label = "y"
+        with pytest.raises(ConfigError):
+            ev._replace(t_start=-1.0)
+        with pytest.raises(SequenceValidationError):
+            seq._replace(cycle_time=5e-7)
+        assert copy.deepcopy(seq) == seq
 
 
 class TestWahuha:

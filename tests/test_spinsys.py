@@ -1,6 +1,5 @@
 """Exact spin dynamics: operators, Hamiltonians, propagation, fidelities."""
 
-import dataclasses
 import math
 import re
 import time
@@ -383,7 +382,7 @@ class TestEvolution:
         sys = spinsys.build_system(FAP, 3, [(0.0, 0.0)], 1.4e6)
         wahuha = pulses.wahuha(1e-6, 2e-7)
         seq = pulses.Sequence(
-            tuple(dataclasses.replace(ev, target=1) for ev in wahuha.events),
+            tuple(ev._replace(target=1) for ev in wahuha.events),
             cycle_time=wahuha.cycle_time)
         spinsys.evolve(sys, seq, QuantumState.all_plus_x(3), "sampled")
         assert exponents == [9]
